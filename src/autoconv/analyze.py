@@ -91,27 +91,35 @@ def recovered_residual(f: GridFunction) -> GridFunction:
 
 
 def verify(f: GridFunction, tolerance: float | None = None) -> SolutionReport:
-    """Scan f - f*f for violations and report the mass diagnostics.
+    """Recompute the residual f - f*f and scan it (see scan_residual)."""
+    return scan_residual(f, recovered_residual(f), tolerance)
+
+
+def scan_residual(
+    f: GridFunction, residual: GridFunction, tolerance: float | None = None
+) -> SolutionReport:
+    """Scan a recovered residual f - f*f and report the mass diagnostics.
 
     The boundary band (width extent/8 per axis) is excluded from the
     verdict scan because the windowed convolution is truncation-biased
     there; its minimum is still reported.  Violations are verdicts, not
-    errors.
+    errors.  The default tolerance is 1e-6 max|f| + 1e-12.
     """
     if tolerance is None:
         tolerance = 1e-6 * float(np.abs(f.values).max(initial=0.0)) + 1e-12
     if not tolerance > 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
+    if residual.spec != f.spec:
+        raise ValueError("grid specs do not match")
 
-    residual = recovered_residual(f).values
     a = integrate(f)
-    b = float(residual.sum() * f.spec.cell_volume)
+    b = integrate(residual)
 
     mask = _interior_mask(f)
-    inner = np.where(mask, residual, np.inf)
+    inner = np.where(mask, residual.values, np.inf)
     flat = int(np.argmin(inner))
     min_inner = float(inner.ravel()[flat])
-    boundary_vals = residual[~mask]
+    boundary_vals = residual.values[~mask]
     min_boundary = float(boundary_vals.min()) if boundary_vals.size else math.inf
 
     gap = abs((a - 0.5) ** 2 - (0.25 - b))

@@ -15,7 +15,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -24,8 +23,6 @@ import numpy as np
 
 from . import __version__
 from . import analyze, clt, coeffs, construct, families, grids
-
-_THREADS_ENV = "AUTOCONV_THREADS"
 
 
 class CliError(Exception):
@@ -185,12 +182,12 @@ def _run_construct(cfg, out_dir: Path):
 
 def _run_verify(cfg, out_dir: Path):
     f = _input_function(cfg)
-    report = analyze.verify(f, tolerance=cfg["tolerance"])
-    residual = analyze.recovered_residual(f).values
+    residual = analyze.recovered_residual(f)
+    report = analyze.scan_residual(f, residual, tolerance=cfg["tolerance"])
     rows = zip(
         *(
             [grid.ravel() for grid in f.spec.node_grids()]
-            + [f.values.ravel(), residual.ravel()]
+            + [f.values.ravel(), residual.values.ravel()]
         )
     )
     _write_rows(
@@ -375,7 +372,6 @@ def _resolve_config(args) -> dict:
         cli_value = getattr(args, key, None)
         cfg[key] = cli_value if cli_value is not None else file_cfg.get(key, default)
     cfg["out_dir"] = args.out_dir or file_cfg.get("out_dir", ".")
-    cfg["threads"] = os.environ.get(_THREADS_ENV)
     return cfg
 
 

@@ -22,10 +22,10 @@ import numpy as np
 
 from .coeffs import CoeffTable, build_coeffs, tail_bound, terms_for_tail
 from .grids import (
+    ConvolutionPlan,
     GridFunction,
     GridSpec,
     Spectrum,
-    convolve,
     dft,
     idft,
     integrate,
@@ -106,8 +106,10 @@ def build_series(
 
     Powers are computed incrementally, one linear convolution per term, on
     the scaled residual 4u so every intermediate has mass ratio^n <= 1 and
-    nothing overflows.  Truncation stops at the smallest N whose certified
-    tail is at most epsilon (default by regime, see default_epsilon).
+    nothing overflows.  One ConvolutionPlan caches the transform of 4u, so
+    each term costs one forward and one inverse real transform.
+    Truncation stops at the smallest N whose certified tail is at most
+    epsilon (default by regime, see default_epsilon).
 
     Raises if the residual mass exceeds 1/4 beyond tolerance, or if the
     target would need more than term_cap terms (which only happens near
@@ -142,12 +144,13 @@ def build_series(
 
     coeffs = table.values
     scaled = GridFunction(spec=u.spec, values=4.0 * u.values)
+    times_scaled = ConvolutionPlan(scaled)
     power = scaled
     acc = 0.5 * coeffs[0] * power.values
     for n in range(2, n_terms + 1):
         # Convolution powers of a nonnegative density are nonnegative;
         # FFT dust of order 1e-16 would otherwise leak sign noise into f.
-        raw = convolve(power, scaled)
+        raw = times_scaled(power)
         power = GridFunction(spec=u.spec, values=np.maximum(raw.values, 0.0))
         acc += 0.5 * coeffs[n - 1] * power.values
 

@@ -9,6 +9,7 @@ from autoconv.analyze import (
     moment_scan,
     positivity_check,
     recovered_residual,
+    scan_residual,
     verify,
 )
 from autoconv.construct import build_series, bump_residual
@@ -69,6 +70,12 @@ class TestVerify:
     def test_tolerance_validation(self):
         with pytest.raises(ValueError):
             verify(poisson_sample(0.5, L=50.0, N=2**10), tolerance=0.0)
+
+    def test_scan_of_given_residual_is_verify(self):
+        f = poisson_sample(0.6, L=50.0, N=2**10)
+        assert scan_residual(f, recovered_residual(f)) == verify(f)
+        with pytest.raises(ValueError, match="specs"):
+            scan_residual(f, recovered_residual(poisson_sample(0.6, L=50.0, N=2**11)))
 
 
 class TestPositivityCheck:

@@ -176,12 +176,6 @@ def test_missing_input_errors(tmp_path):
     assert main(["verify", "--input", "/nonexistent.csv", "--out-dir", str(tmp_path)]) == 1
 
 
-def test_threads_env_recorded(tmp_path, monkeypatch):
-    monkeypatch.setenv("AUTOCONV_THREADS", "4")
-    assert main(["coeffs", "--n", "4", "--out-dir", str(tmp_path)]) == 0
-    assert read_report(tmp_path, "coeffs")["report"]["config"]["threads"] == "4"
-
-
 def test_usage_error(capsys):
     assert main(["frobnicate"]) == 1
     assert "error" in json.loads(capsys.readouterr().out)

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from autoconv.analyze import exp_tail_fit
-from autoconv.coeffs import build_coeffs, tail_bound
+from autoconv.coeffs import build_coeffs, tail_bound, terms_for_tail
 from autoconv.construct import (
     build_exponential_example,
     build_series,
     build_spectral,
     bump_residual,
     crosscheck,
+    default_epsilon,
 )
 from autoconv.families import PoissonParams, gaussian_density, poisson
 from autoconv.grids import GridFunction, GridSpec, integrate, sample
@@ -27,7 +28,45 @@ def zero_residual(L=16.0, N=2**10):
     return GridFunction(spec=spec, values=np.zeros(spec.shape))
 
 
+def complex_convolve(a, b, spec):
+    """Reference linear convolution: three complex FFTs on the 2N-padded grid."""
+    n = spec.points_per_axis
+    axes = tuple(range(spec.dim))
+    padded = (2 * n,) * spec.dim
+    product = np.fft.fftn(a, s=padded, axes=axes) * np.fft.fftn(b, s=padded, axes=axes)
+    window = (slice(n // 2, n // 2 + n),) * spec.dim
+    return np.fft.ifftn(product, axes=axes).real[window] * spec.cell_volume
+
+
+def reference_series(u):
+    """The series loop with the complex-FFT convolution, term by term."""
+    ratio = min(4.0 * integrate(u), 1.0)
+    table = build_coeffs(65536)
+    n_terms = terms_for_tail(table, ratio, 2.0 * default_epsilon(ratio))
+    scaled = 4.0 * u.values
+    power = scaled
+    acc = 0.5 * table.values[0] * power
+    for n in range(2, n_terms + 1):
+        power = np.maximum(complex_convolve(power, scaled, u.spec), 0.0)
+        acc += 0.5 * table.values[n - 1] * power
+    tail = tail_bound(table, n_terms, ratio)
+    return n_terms, 0.5 * tail, 2.0 * float(u.values.max()) * tail / ratio, acc
+
+
 class TestBuildSeries:
+    @pytest.mark.parametrize("dim, n", [(1, 2**10), (2, 16)])
+    def test_critical_matches_complex_reference(self, dim, n):
+        spec = GridSpec(dim=dim, extent=40.0, points_per_axis=n)
+        raw = sample(spec, gaussian_density(sigma=2.0))
+        u = GridFunction(spec=spec, values=raw.values * (0.25 / integrate(raw)))
+        build = build_series(u)
+        n_terms, tail_l1, tail_sup, solution = reference_series(u)
+        assert build.n_terms == n_terms
+        assert build.tail_l1 == tail_l1
+        assert build.tail_sup == tail_sup
+        peak = np.abs(solution).max()
+        assert np.abs(build.solution.values - solution).max() <= 1e-12 * peak
+
     def test_zero_residual(self):
         build = build_series(zero_residual())
         assert build.n_terms == 1

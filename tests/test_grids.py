@@ -5,6 +5,7 @@ import pytest
 
 from autoconv import families
 from autoconv.grids import (
+    ConvolutionPlan,
     GridFunction,
     GridSpec,
     Spectrum,
@@ -123,7 +124,55 @@ class TestIntegrateAndMoment:
             moment(gauss, -1.0)
 
 
+def direct_convolution(g1, g2):
+    """Brute-force linear convolution sum, restricted to the window."""
+    spec = g1.spec
+    n = spec.points_per_axis
+    full = np.zeros((2 * n - 1,) * spec.dim)
+    for idx in np.ndindex(*spec.shape):
+        full[tuple(slice(i, i + n) for i in idx)] += g1.values[idx] * g2.values
+    window = (slice(n // 2, n // 2 + n),) * spec.dim
+    return full[window] * spec.cell_volume
+
+
 class TestConvolve:
+    @pytest.mark.parametrize("dim, n", [(1, 64), (2, 16), (3, 8)])
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_matches_direct_sum(self, dim, n, signed):
+        spec = GridSpec(dim=dim, extent=3.0, points_per_axis=n)
+        rng = np.random.default_rng(10 * dim + signed)
+        draw = rng.standard_normal if signed else rng.random
+        g1 = GridFunction(spec=spec, values=draw(spec.shape))
+        g2 = GridFunction(spec=spec, values=draw(spec.shape))
+        want = direct_convolution(g1, g2)
+        got = convolve(g1, g2).values
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("dim, n", [(1, 2**12), (2, 64), (3, 16)])
+    def test_self_convolution_matches_two_inputs(self, dim, n):
+        spec = GridSpec(dim=dim, extent=6.0, points_per_axis=n)
+        f = sample(spec, families.gaussian_density())
+        twin = GridFunction(spec=spec, values=f.values.copy())
+        same = convolve(f, f).values
+        pair = convolve(f, twin).values
+        assert np.abs(same - pair).max() <= 1e-13 * np.abs(pair).max()
+
+    def test_plan_reuse_matches_one_shot(self, gauss):
+        plan = ConvolutionPlan(gauss)
+        other = sample(gauss.spec, lambda x: np.where(np.abs(x - 1.0) <= 0.5, 1.0, 0.0))
+        for g in (other, gauss, other):
+            np.testing.assert_array_equal(plan(g).values, convolve(gauss, g).values)
+
+    def test_mass_guard_catches_corrupt_inverse(self, gauss, monkeypatch):
+        real_irfftn = np.fft.irfftn
+
+        def corrupt(*args, **kwargs):
+            return real_irfftn(*args, **kwargs) * (1.0 + 1e-6)
+
+        monkeypatch.setattr("autoconv.grids.np.fft.irfftn", corrupt)
+        with pytest.raises(RuntimeError, match="FFT defect"):
+            convolve(gauss, gauss)
+
     def test_spec_mismatch(self, gauss):
         other = sample(spec1(N=2**11), families.gaussian_density())
         with pytest.raises(ValueError):
