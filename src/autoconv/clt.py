@@ -2,11 +2,12 @@
 
 For a probability density w, the density of n^{-1/2} (X_1 + ... + X_n) is
 computed by the characteristic-function power method: evaluate the
-transform of w at the output frequencies scaled by 1/sqrt(n), raise to
-the n-th power, invert.  With finite variance the mass in a fixed ball
-tends to the Gaussian ball mass; with infinite variance it drains to
-zero, which a mandatory Monte Carlo cross-check confirms independently of
-the grid (window truncation alone would fake a finite variance).
+transform of w at the output frequencies scaled by 1/sqrt(n) (one
+chirp-z transform per axis, for every n), raise to the n-th power,
+invert.  With finite variance the mass in a fixed ball tends to the
+Gaussian ball mass; with infinite variance it drains to zero, which a
+mandatory Monte Carlo cross-check confirms independently of the grid
+(window truncation alone would fake a finite variance).
 """
 
 from __future__ import annotations
@@ -43,44 +44,24 @@ class CltResult:
 def _charfun_on_scaled_lattice(w: GridFunction, out_spec: GridSpec, n: int) -> np.ndarray:
     """h^d sum_j w_j exp(-i 2 pi (k/sqrt(n)) . x_j) at out-grid frequencies.
 
-    When sqrt(n) is an integer and the windows match, the scaled
-    frequencies live on the lattice of the source grid zero padded by
-    that factor, so one padded FFT per axis evaluates the exact same
-    quadrature sum.  Otherwise the sum is taken directly, axis by axis.
+    In centered indices x_j = h j and k_m/sqrt(n) = m/(2 L_out sqrt(n)), so
+    each axis sums exp(-i 2 pi a m j) with a = h/(2 L_out sqrt(n)).  As
+    m j = (m^2 + j^2 - (m-j)^2)/2, that sum is a linear convolution with
+    the chirp exp(i pi a t^2), taken by FFTs of length >= N + M - 1: one
+    chirp-z transform (Bluestein) per axis, for every n and any windows.
     """
     src = w.spec
-    root = math.isqrt(n)
-    fast = (
-        root * root == n
-        and out_spec.extent == src.extent
-        and out_spec.points_per_axis <= root * src.points_per_axis
-    )
-    if fast:
-        values = np.fft.ifftshift(w.values)
-        big = root * src.points_per_axis
-        for axis in range(src.dim):
-            moved = np.moveaxis(values, axis, -1)
-            half = src.points_per_axis // 2
-            pad_shape = moved.shape[:-1] + (big - src.points_per_axis,)
-            moved = np.concatenate(
-                [moved[..., :half], np.zeros(pad_shape, dtype=moved.dtype), moved[..., half:]],
-                axis=-1,
-            )
-            values = np.moveaxis(moved, -1, axis)
-        spec_full = np.fft.fftshift(np.fft.fftn(values)) * src.cell_volume
-        m = out_spec.points_per_axis
-        mid = big // 2
-        window = (slice(mid - m // 2, mid + m // 2),) * src.dim
-        return np.ascontiguousarray(spec_full[window])
-
-    scaled_freqs = out_spec.axis_frequencies() / math.sqrt(n)
-    nodes = src.axis_nodes()
-    values: np.ndarray = w.values.astype(np.complex128)
+    n_src, n_out = src.points_per_axis, out_spec.points_per_axis
+    a = src.spacing / (2.0 * out_spec.extent * math.sqrt(n))
+    t = np.arange(1 - n_src, n_out, dtype=float) + (n_src // 2 - n_out // 2)  # all m - j
+    size = 1 << (n_src + n_out - 2).bit_length()
+    chirp_hat = np.fft.fft(np.exp(1j * np.pi * a * t**2), size)
+    pre = np.exp(-1j * np.pi * a * (np.arange(n_src) - n_src // 2) ** 2.0)
+    post = np.exp(-1j * np.pi * a * (np.arange(n_out) - n_out // 2) ** 2.0)
+    values = w.values.astype(np.complex128)
     for axis in range(src.dim):
-        kernel = np.exp(-2j * np.pi * np.outer(scaled_freqs, nodes))
-        values = np.moveaxis(
-            np.tensordot(kernel, values, axes=([1], [axis])), 0, axis
-        )
+        moved = np.fft.ifft(np.fft.fft(np.moveaxis(values, axis, -1) * pre, size) * chirp_hat)
+        values = np.moveaxis(moved[..., n_src - 1 : n_src - 1 + n_out] * post, -1, axis)
     return values * src.cell_volume
 
 
@@ -194,10 +175,12 @@ def run_experiment(
     "infinite_variance" (the (1+|x|)^-3 density on a wide window, where
     the ball mass decays instead).  Monte Carlo replicates draw n fresh
     samples each through per-cell generator streams spawned from the
-    recorded master seed; mc_samples = 0 skips the cross-check.
+    recorded master seed; mc_samples = 0 skips the cross-check, < 0 raises.
     """
     if list(n_list) != sorted(set(int(n) for n in n_list)):
         raise ValueError("n_list must be strictly increasing")
+    if mc_samples < 0:
+        raise ValueError(f"mc_samples must be nonnegative (0 skips), got {mc_samples}")
     if w_kind == "finite_variance":
         spec = grid or GridSpec(dim=1, extent=16.0, points_per_axis=2**18)
         density = _finite_variance_density(spec)

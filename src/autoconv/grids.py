@@ -282,17 +282,26 @@ def to_csv(g: GridFunction, path) -> None:
 
 
 def from_csv(path) -> GridFunction:
-    """Rebuild a GridFunction from to_csv output (bit-identical values)."""
+    """Rebuild a GridFunction from to_csv output (bit-identical values).
+
+    A row whose coordinates miss the row-major centered grid by more than
+    1e-9 h raises ValueError naming that row.
+    """
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     dim = data.shape[1] - 1
     count = data.shape[0]
     n = round(count ** (1.0 / dim))
     if n**dim != count:
         raise ValueError(f"row count {count} is not a {dim}-dim grid")
-    first_axis = data[:, 0].reshape((n,) * dim)
-    nodes = first_axis[(slice(None),) + (0,) * (dim - 1)]
-    extent = -float(nodes[0])
-    spec = GridSpec(dim=dim, extent=extent, points_per_axis=n)
+    spec = GridSpec(dim=dim, extent=-float(data[:, :dim].min()), points_per_axis=n)
+    expected = np.stack([grid.ravel() for grid in spec.node_grids()], axis=1)
+    off = np.abs(data[:, :dim] - expected) > 1e-9 * spec.spacing
+    if off.any():
+        row = int(np.argmax(off.any(axis=1)))
+        raise ValueError(
+            f"{path}: data row {row + 1} has coordinates {data[row, :dim].tolist()}, "
+            f"expected {expected[row].tolist()} on a centered uniform grid"
+        )
     return GridFunction(spec=spec, values=data[:, dim].reshape(spec.shape))
 
 

@@ -113,6 +113,44 @@ def test_clt_experiment(tmp_path):
     assert len(rows) == 3
 
 
+def test_clt_non_square_n_at_default_grid(tmp_path):
+    code = main(
+        [
+            "clt", "--kind", "finite_variance", "--n", "5", "--n", "10",
+            "--samples", "2000", "--seed", "0", "--out-dir", str(tmp_path),
+        ]
+    )
+    assert code == 0
+    header, *rows = (tmp_path / "clt.csv").read_text().strip().splitlines()
+    assert header == "R,n,p_grid,phi,p_mc,mc_stderr"
+    assert [row.split(",")[1] for row in rows] == ["5", "10"]
+    for row in rows:
+        _, _, p_grid, _, p_mc, stderr = (float(v) for v in row.split(","))
+        assert abs(p_grid - p_mc) <= 5.0 * stderr
+
+
+def test_clt_negative_samples_rejected(tmp_path, capsys):
+    code = main(
+        ["clt", "--kind", "finite_variance", "--samples", "-3", "--out-dir", str(tmp_path)]
+    )
+    assert code == 1
+    out = capsys.readouterr().out.strip()
+    assert len(out.splitlines()) == 1
+    assert "mc_samples" in json.loads(out)["error"]
+    assert not (tmp_path / "clt.csv").exists()
+
+
+def test_malformed_grid_file_rejected(tmp_path, capsys):
+    rows = ["x1,value"] + [f"{x},0.05" for x in (-4, -3, -2, -1, 0, 2, 1, 3)]
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(rows) + "\n")
+    code = main(["verify", "--input", str(bad), "--out-dir", str(tmp_path)])
+    assert code == 1
+    out = capsys.readouterr().out.strip()
+    assert len(out.splitlines()) == 1
+    assert "data row 6" in json.loads(out)["error"]
+
+
 def test_determinism_and_config_echo(tmp_path):
     argv = [
         "construct", "--residual", "bump", "--mass", "0.125",

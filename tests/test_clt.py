@@ -19,6 +19,17 @@ def normalized(spec, evaluator):
     return GridFunction(spec=spec, values=raw.values / integrate(raw))
 
 
+def direct_charfun(w, out_spec, n):
+    """Oracle: the quadrature sum h^d sum_j w_j exp(-i 2 pi (k/sqrt(n)) . x_j),
+    one dense N x M kernel per axis."""
+    freqs = out_spec.axis_frequencies() / math.sqrt(n)
+    kernel = np.exp(-2j * np.pi * np.outer(freqs, w.spec.axis_nodes()))
+    values = w.values.astype(np.complex128)
+    for axis in range(w.spec.dim):
+        values = np.moveaxis(np.tensordot(kernel, values, axes=([1], [axis])), 0, axis)
+    return values * w.spec.cell_volume
+
+
 def uniform_density(spec):
     half = math.sqrt(3.0)
     return normalized(
@@ -59,7 +70,7 @@ class TestRescaledDensity:
             assert 0.98 <= integrate(out) <= 1.02
         assert all(a > b for a, b in zip(peaks, peaks[1:]))
 
-    def test_fast_path_matches_direct_quadrature(self):
+    def test_square_n_matches_direct_quadrature(self):
         spec = GridSpec(dim=1, extent=8.0, points_per_axis=256)
         w = normalized(spec, gaussian_density())
         fast = _charfun_on_scaled_lattice(w, spec, 4)
@@ -70,7 +81,7 @@ class TestRescaledDensity:
         ) * spec.spacing
         assert np.abs(fast - direct).max() <= 1e-12
 
-    def test_non_square_n_uses_direct_quadrature(self):
+    def test_non_square_n_gaussian_fixed_point(self):
         spec = GridSpec(dim=1, extent=16.0, points_per_axis=2**10)
         w = normalized(spec, gaussian_density())
         out = rescaled_density(w, 10, spec)
@@ -82,12 +93,47 @@ class TestRescaledDensity:
     @pytest.mark.parametrize("n", [4, 5])
     def test_two_dimensional_gaussian_fixed_point(self, n):
         # the standard Gaussian is invariant under the rescaled n-fold sum,
-        # on both the padded-FFT (square n) and direct-quadrature paths
+        # for square and non-square n alike
         spec = GridSpec(dim=2, extent=12.0, points_per_axis=128)
         w = normalized(spec, gaussian_density())
         out = rescaled_density(w, n, spec)
         target = sample(spec, gaussian_density())
         assert np.abs(out.values - target.values).max() <= 1e-9
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 16])
+    @pytest.mark.parametrize(
+        "dim, points, out_extent, out_points",
+        [(1, 512, 8.0, 512), (1, 512, 2.0, 64), (2, 32, 8.0, 32), (2, 32, 4.0, 8)],
+    )
+    def test_chirp_z_matches_direct_sum(self, dim, points, out_extent, out_points, n):
+        spec = GridSpec(dim=dim, extent=8.0, points_per_axis=points)
+        # off-center along x1, so the transform has an imaginary part too
+        w = normalized(spec, lambda *x: np.exp(-((x[0] - 1.0) ** 2) - sum(c * c for c in x[1:])))
+        out_spec = GridSpec(dim=dim, extent=out_extent, points_per_axis=out_points)
+        got = _charfun_on_scaled_lattice(w, out_spec, n)
+        want = direct_charfun(w, out_spec, n)
+        assert got.shape == out_spec.shape
+        assert np.abs(want.imag).max() > 1e-3
+        assert np.abs(got - want).max() <= 1e-13
+
+    @pytest.mark.parametrize("n", [3, 16])
+    def test_one_axis_matches_scipy_czt(self, n):
+        signal = pytest.importorskip("scipy.signal")
+        spec = GridSpec(dim=1, extent=8.0, points_per_axis=256)
+        out_spec = GridSpec(dim=1, extent=4.0, points_per_axis=64)
+        w = normalized(spec, lambda x: np.exp(-((x - 1.0) ** 2)))
+        freqs = out_spec.axis_frequencies() / math.sqrt(n)
+        x0, h = spec.axis_nodes()[0], spec.spacing
+        # X_m = sum_j w_j A^-j W^(j m) at nu_m = nu_0 + m dnu, x_j = x_0 + j h
+        czt = signal.czt(
+            w.values,
+            m=out_spec.points_per_axis,
+            w=np.exp(-2j * np.pi * (freqs[1] - freqs[0]) * h),
+            a=np.exp(2j * np.pi * freqs[0] * h),
+        )
+        want = h * np.exp(-2j * np.pi * freqs * x0) * czt
+        got = _charfun_on_scaled_lattice(w, out_spec, n)
+        assert np.abs(got - want).max() <= 1e-12
 
     def test_mass_precondition(self):
         spec = GridSpec(dim=1, extent=16.0, points_per_axis=2**10)
@@ -182,6 +228,10 @@ class TestRunExperiment:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="w_kind"):
             run_experiment("bimodal")
+
+    def test_negative_samples_rejected(self):
+        with pytest.raises(ValueError, match="mc_samples"):
+            run_experiment("finite_variance", n_list=(4,), mc_samples=-3)
 
     def test_n_list_must_increase(self):
         with pytest.raises(ValueError, match="increasing"):

@@ -331,6 +331,29 @@ class TestSerialization:
         assert back.spec == spec
         np.testing.assert_array_equal(back.values, g.values)
 
+    def test_csv_scrambled_rows_rejected(self, tmp_path):
+        g = sample(GridSpec(dim=1, extent=4.0, points_per_axis=8), families.gaussian_density())
+        path = tmp_path / "g.csv"
+        to_csv(g, path)
+        header, *rows = path.read_text().splitlines()
+        order = [0, 1, 2, 3, 4, 5, 7, 6]
+        path.write_text("\n".join([header] + [rows[i] for i in order]) + "\n")
+        with pytest.raises(ValueError, match="data row 7 "):
+            from_csv(path)
+
+    def test_csv_non_uniform_spacing_rejected(self, tmp_path):
+        spec = GridSpec(dim=2, extent=4.0, points_per_axis=8)
+        g = sample(spec, families.gaussian_density())
+        path = tmp_path / "g2.csv"
+        to_csv(g, path)
+        header, *rows = path.read_text().splitlines()
+        # the second coordinate of data row 11 moves by a tenth of a cell
+        x1, x2, value = rows[10].split(",")
+        rows[10] = ",".join([x1, repr(float(x2) + 0.1 * spec.spacing), value])
+        path.write_text("\n".join([header] + rows) + "\n")
+        with pytest.raises(ValueError, match="data row 11 "):
+            from_csv(path)
+
     def test_csv_round_trip_3d(self, tmp_path):
         spec = GridSpec(dim=3, extent=2.0, points_per_axis=8)
         g = sample(spec, families.gaussian_density())
