@@ -211,18 +211,15 @@ def _run_moments(cfg, out_dir: Path):
 
 
 def _run_clt(cfg, out_dir: Path):
-    radii = cfg["R"] or [1.0]
+    radii = [1.0] if cfg["R"] is None else cfg["R"]
     n_list = tuple(int(n) for n in (cfg["n"] or (4, 16, 64, 256)))
-    outcomes = [
-        clt.run_experiment(
-            cfg["kind"],
-            ball_radius=float(radius),
-            n_list=n_list,
-            mc_samples=int(cfg["samples"]),
-            seed=cfg["seed"],
-        )
-        for radius in radii
-    ]
+    outcomes = clt.run_experiments(
+        cfg["kind"],
+        tuple(float(radius) for radius in radii),
+        n_list=n_list,
+        mc_samples=int(cfg["samples"]),
+        seed=cfg["seed"],
+    )
     rows = []
     for res in outcomes:
         for i, n in enumerate(res.n_list):

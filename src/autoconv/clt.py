@@ -144,30 +144,27 @@ def _infinite_variance_density(spec: GridSpec) -> GridFunction:
     return GridFunction(spec=spec, values=raw.values / integrate(raw))
 
 
-def _mc_ball_probability(
-    sampler, n: int, radius: float, replicates: int, rng: np.random.Generator
-) -> tuple[float, float]:
-    hits = 0
-    done = 0
+def _scaled_sums(sampler, n: int, replicates: int, rng: np.random.Generator):
+    """|X_1 + ... + X_n| / sqrt(n) for each replicate, one chunk at a time.
+
+    A chunk holds at most _MC_CHUNK scalar draws, so memory stays bounded
+    however many replicates are asked for.
+    """
     chunk = max(1, _MC_CHUNK // n)
     scale = 1.0 / math.sqrt(n)
-    while done < replicates:
-        m = min(chunk, replicates - done)
-        draws = sampler(rng, (m, n))
-        hits += int(np.count_nonzero(np.abs(draws.sum(axis=1)) * scale <= radius))
-        done += m
-    p = hits / replicates
-    return p, math.sqrt(p * (1.0 - p) / replicates)
+    for done in range(0, replicates, chunk):
+        draws = sampler(rng, (min(chunk, replicates - done), n))
+        yield np.abs(draws.sum(axis=1)) * scale
 
 
-def run_experiment(
+def run_experiments(
     w_kind: str,
-    ball_radius: float = 1.0,
+    radii: tuple[float, ...],
     n_list: tuple[int, ...] = (4, 16, 64, 256),
     mc_samples: int = 100_000,
     seed: int | None = 0,
     grid: GridSpec | None = None,
-) -> CltResult:
+) -> tuple[CltResult, ...]:
     """Grid and Monte Carlo ball masses of the rescaled n-fold sums.
 
     w_kind selects the summand density: "finite_variance" (uniform with
@@ -176,7 +173,14 @@ def run_experiment(
     the ball mass decays instead).  Monte Carlo replicates draw n fresh
     samples each through per-cell generator streams spawned from the
     recorded master seed; mc_samples = 0 skips the cross-check, < 0 raises.
+
+    Each rescaled density and each stream's normalized sums are computed
+    once per n and read at every radius; one result per radius comes back
+    in radii order, duplicates included.  Radii must be finite and > 0.
     """
+    radii = tuple(radii)
+    if not radii or not all(math.isfinite(r) and r > 0 for r in radii):
+        raise ValueError(f"ball radii must be finite and positive, got {list(radii)}")
     if list(n_list) != sorted(set(int(n) for n in n_list)):
         raise ValueError("n_list must be strictly increasing")
     if mc_samples < 0:
@@ -189,45 +193,63 @@ def run_experiment(
         def sampler(rng, size):
             return rng.uniform(-half, half, size)
 
-        target = math.erf(ball_radius / math.sqrt(2.0))
+        targets = [math.erf(r / math.sqrt(2.0)) for r in radii]
     elif w_kind == "infinite_variance":
         spec = grid or GridSpec(dim=1, extent=512.0, points_per_axis=2**18)
         density = _infinite_variance_density(spec)
         sampler = heavy_tail_sampler
-        target = None
+        targets = [None] * len(radii)
     else:
         raise ValueError(f"unknown w_kind {w_kind!r}")
 
-    notes: list[str] = []
-    p_values = []
+    p_values: list[list[float]] = [[] for _ in radii]
     phi_values = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for n in n_list:
             dens = rescaled_density(density, int(n), spec)
-            p_values.append(ball_mass(dens, ball_radius))
+            for values, radius in zip(p_values, radii):
+                values.append(ball_mass(dens, radius))
             phi_values.append(phi_functional(dens))
-    notes.extend(str(w.message) for w in caught)
+    notes = tuple(str(w.message) for w in caught)
 
-    mc_values: list[float] = []
-    mc_stderr: list[float] = []
+    mc_values: list[list[float]] = [[] for _ in radii]
+    mc_stderr: list[list[float]] = [[] for _ in radii]
     if mc_samples > 0:
         streams = np.random.SeedSequence(seed).spawn(len(n_list))
         for n, stream in zip(n_list, streams):
-            rng = np.random.default_rng(stream)
-            p, se = _mc_ball_probability(sampler, int(n), ball_radius, mc_samples, rng)
-            mc_values.append(p)
-            mc_stderr.append(se)
+            hits = [0] * len(radii)
+            for sums in _scaled_sums(sampler, int(n), mc_samples, np.random.default_rng(stream)):
+                hits = [h + int(np.count_nonzero(sums <= r)) for h, r in zip(hits, radii)]
+            for values, errors, h in zip(mc_values, mc_stderr, hits):
+                p = h / mc_samples
+                values.append(p)
+                errors.append(math.sqrt(p * (1.0 - p) / mc_samples))
 
-    return CltResult(
-        ball_radius=ball_radius,
-        n_list=tuple(int(n) for n in n_list),
-        p_values=tuple(p_values),
-        phi_values=tuple(phi_values),
-        mc_values=tuple(mc_values),
-        mc_stderr=tuple(mc_stderr),
-        variance_class="finite" if w_kind == "finite_variance" else "infinite",
-        seed=seed,
-        gaussian_target=target,
-        notes=tuple(notes),
+    return tuple(
+        CltResult(
+            ball_radius=radius,
+            n_list=tuple(int(n) for n in n_list),
+            p_values=tuple(p),
+            phi_values=tuple(phi_values),
+            mc_values=tuple(mc),
+            mc_stderr=tuple(se),
+            variance_class="finite" if w_kind == "finite_variance" else "infinite",
+            seed=seed,
+            gaussian_target=target,
+            notes=notes,
+        )
+        for radius, target, p, mc, se in zip(radii, targets, p_values, mc_values, mc_stderr)
     )
+
+
+def run_experiment(
+    w_kind: str,
+    ball_radius: float = 1.0,
+    n_list: tuple[int, ...] = (4, 16, 64, 256),
+    mc_samples: int = 100_000,
+    seed: int | None = 0,
+    grid: GridSpec | None = None,
+) -> CltResult:
+    """run_experiments at the single radius ball_radius."""
+    return run_experiments(w_kind, (ball_radius,), n_list, mc_samples, seed, grid)[0]

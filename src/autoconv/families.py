@@ -152,7 +152,19 @@ def heavy_tail_cdf(x):
 
 
 def heavy_tail_sampler(rng: np.random.Generator, size) -> np.ndarray:
-    """Exact inverse-CDF draws from heavy_tail_density."""
+    """Exact inverse-CDF draws from heavy_tail_density.
+
+    Computes sign(v - 0.5) * ((1 - 2|v - 0.5|)^-1/2 - 1) for uniform v in
+    place on the generator's buffer, so one draw array and its signs are
+    the only full-size arrays.
+    """
     v = rng.random(size)
-    u = np.abs(v - 0.5)
-    return np.sign(v - 0.5) * ((1.0 - 2.0 * u) ** -0.5 - 1.0)
+    v -= 0.5
+    sign = np.sign(v)
+    np.abs(v, out=v)
+    v *= -2.0
+    v += 1.0
+    np.power(v, -0.5, out=v)
+    v -= 1.0
+    v *= sign
+    return v

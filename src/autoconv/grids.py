@@ -317,9 +317,20 @@ def to_json(g: GridFunction, path) -> None:
 
 
 def from_json(path) -> GridFunction:
+    """Rebuild a GridFunction from to_json output.
+
+    A value count that does not match the header's grid raises ValueError
+    naming both counts.
+    """
     with open(path) as fh:
         doc = json.load(fh)
     spec = GridSpec(
         dim=doc["dim"], extent=doc["extent"], points_per_axis=doc["points_per_axis"]
     )
-    return GridFunction(spec=spec, values=np.array(doc["values"]).reshape(spec.shape))
+    values = np.array(doc["values"])
+    expected = spec.points_per_axis**spec.dim
+    if values.size != expected:
+        raise ValueError(
+            f"{path}: header {spec.shape} needs {expected} values, the file holds {values.size}"
+        )
+    return GridFunction(spec=spec, values=values.reshape(spec.shape))

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from autoconv import clt
 from autoconv.cli import main
 
 
@@ -138,6 +139,64 @@ def test_clt_negative_samples_rejected(tmp_path, capsys):
     assert len(out.splitlines()) == 1
     assert "mc_samples" in json.loads(out)["error"]
     assert not (tmp_path / "clt.csv").exists()
+
+
+def test_clt_density_once_per_n(tmp_path, monkeypatch):
+    seen = []
+    original = clt.rescaled_density
+
+    def counting(w, n, out_spec):
+        seen.append(n)
+        return original(w, n, out_spec)
+
+    monkeypatch.setattr(clt, "rescaled_density", counting)
+    code = main(
+        [
+            "clt", "--kind", "infinite_variance", "--R", "1", "--R", "2", "--n", "4",
+            "--n", "16", "--samples", "0", "--out-dir", str(tmp_path),
+        ]
+    )
+    assert code == 0
+    assert seen == [4, 16]
+    _, *rows = (tmp_path / "clt.csv").read_text().strip().splitlines()
+    assert [tuple(row.split(",")[:2]) for row in rows] == [
+        ("1", "4"), ("1", "16"), ("2", "4"), ("2", "16")
+    ]
+
+
+@pytest.mark.parametrize("radius", ["-1", "0", "nan", "inf"])
+def test_clt_bad_radius_rejected(tmp_path, capsys, radius):
+    code = main(
+        [
+            "clt", "--kind", "finite_variance", "--R", "1", "--R", radius,
+            "--samples", "0", "--out-dir", str(tmp_path),
+        ]
+    )
+    assert code == 1
+    out = capsys.readouterr().out.strip()
+    assert len(out.splitlines()) == 1
+    assert "radii" in json.loads(out)["error"]
+    assert not (tmp_path / "clt.csv").exists()
+
+
+def test_clt_empty_radius_list_in_config_rejected(tmp_path, capsys):
+    config = tmp_path / "clt.json"
+    config.write_text(json.dumps({"kind": "finite_variance", "R": [], "samples": 0}))
+    code = main(["clt", "--config", str(config), "--out-dir", str(tmp_path)])
+    assert code == 1
+    assert "radii" in json.loads(capsys.readouterr().out)["error"]
+
+
+def test_json_grid_file_count_mismatch_rejected(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(
+        json.dumps({"dim": 1, "extent": 4.0, "points_per_axis": 8, "values": [0.1, 0.2, 0.3]})
+    )
+    code = main(["verify", "--input", str(bad), "--out-dir", str(tmp_path)])
+    assert code == 1
+    out = capsys.readouterr().out.strip()
+    assert len(out.splitlines()) == 1
+    assert "needs 8 values, the file holds 3" in json.loads(out)["error"]
 
 
 def test_malformed_grid_file_rejected(tmp_path, capsys):

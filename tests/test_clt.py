@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from autoconv import clt
 from autoconv.clt import (
     _charfun_on_scaled_lattice,
     ball_mass,
     phi_functional,
     rescaled_density,
     run_experiment,
+    run_experiments,
 )
 from autoconv.families import gaussian_density, heavy_tail_density
 from autoconv.grids import GridFunction, GridSpec, integrate, sample
@@ -236,3 +238,28 @@ class TestRunExperiment:
     def test_n_list_must_increase(self):
         with pytest.raises(ValueError, match="increasing"):
             run_experiment("finite_variance", n_list=(16, 4))
+
+
+class TestRunExperiments:
+    @pytest.mark.parametrize("kind", ["finite_variance", "infinite_variance"])
+    def test_matches_one_run_per_radius(self, kind):
+        radii = (2.0, 0.5, 2.0, 1.0)
+        args = dict(n_list=(4, 7), mc_samples=5_000, seed=9)
+        results = run_experiments(kind, radii, **args)
+        assert [r.ball_radius for r in results] == list(radii)
+        for radius, result in zip(radii, results):
+            assert result == run_experiment(kind, ball_radius=radius, **args)
+
+    def test_chunking_leaves_monte_carlo_unchanged(self, monkeypatch):
+        args = dict(n_list=(4, 16), mc_samples=1_001, seed=4)
+        whole = run_experiments("infinite_variance", (0.5, 2.0), **args)
+        # 9 and 2 replicates per chunk; neither divides 1001
+        monkeypatch.setattr(clt, "_MC_CHUNK", 37)
+        chunked = run_experiments("infinite_variance", (0.5, 2.0), **args)
+        assert [r.mc_values for r in chunked] == [r.mc_values for r in whole]
+        assert [r.mc_stderr for r in chunked] == [r.mc_stderr for r in whole]
+
+    @pytest.mark.parametrize("radii", [(), (-1.0,), (0.0,), (1.0, math.nan), (math.inf,)])
+    def test_radii_must_be_finite_and_positive(self, radii):
+        with pytest.raises(ValueError, match="radii"):
+            run_experiments("finite_variance", radii, n_list=(4,), mc_samples=0)

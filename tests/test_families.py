@@ -179,3 +179,10 @@ class TestHeavyTail:
         assert math.sqrt(n) * ks <= 1.63  # 1% critical value
         assert abs(np.median(draws)) <= 0.01
         assert abs(float(np.mean(np.sign(draws)))) <= 0.01
+
+    def test_sampler_is_the_closed_form(self):
+        v = np.random.default_rng(21).random((300, 7))
+        expected = np.sign(v - 0.5) * ((1.0 - 2.0 * np.abs(v - 0.5)) ** -0.5 - 1.0)
+        draws = heavy_tail_sampler(np.random.default_rng(21), (300, 7))
+        assert draws.shape == (300, 7)
+        assert draws.tobytes() == expected.tobytes()

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -321,6 +322,13 @@ class TestSerialization:
         back = from_json(path)
         assert back.spec == gauss.spec
         np.testing.assert_array_equal(back.values, gauss.values)
+
+    def test_json_value_count_checked_against_header(self, tmp_path):
+        path = tmp_path / "g.json"
+        header = {"dim": 1, "extent": 4.0, "points_per_axis": 8}
+        path.write_text(json.dumps({**header, "values": [0.1, 0.2, 0.3]}))
+        with pytest.raises(ValueError, match="needs 8 values, the file holds 3"):
+            from_json(path)
 
     def test_csv_round_trip_2d(self, tmp_path):
         spec = GridSpec(dim=2, extent=4.0, points_per_axis=16)
