@@ -50,21 +50,6 @@ def _jsonable(obj):
     return obj
 
 
-def _write_rows(path: Path, header: list[str], rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_format_cell(v) for v in row) + "\n")
-
-
-def _format_cell(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, str):
-        return v
-    return f"{float(v):.17g}"
-
-
 def _grid_spec(cfg) -> grids.GridSpec:
     return grids.GridSpec(
         dim=int(cfg["d"]), extent=float(cfg["L"]), points_per_axis=int(cfg["N"])
@@ -184,16 +169,11 @@ def _run_verify(cfg, out_dir: Path):
     f = _input_function(cfg)
     residual = analyze.recovered_residual(f)
     report = analyze.scan_residual(f, residual, tolerance=cfg["tolerance"])
-    rows = zip(
-        *(
-            [grid.ravel() for grid in f.spec.node_grids()]
-            + [f.values.ravel(), residual.values.ravel()]
-        )
-    )
-    _write_rows(
+    grids.write_csv(
         out_dir / "verify_residual.csv",
         [f"x{i + 1}" for i in range(f.spec.dim)] + ["f", "residual"],
-        rows,
+        [f.values, residual.values],
+        spec=f.spec,
     )
     return _jsonable(report), 0 if report.verdict == "solution" else 2
 
@@ -206,7 +186,7 @@ def _run_moments(cfg, out_dir: Path):
     for rep in reports:
         for radius, value in zip(rep.radii, rep.values):
             rows.append((rep.order, radius, value))
-    _write_rows(out_dir / "moments.csv", ["p", "radius", "truncated_moment"], rows)
+    grids.write_csv(out_dir / "moments.csv", ["p", "radius", "truncated_moment"], zip(*rows))
     return {"reports": [_jsonable(r) for r in reports]}, 0
 
 
@@ -233,8 +213,8 @@ def _run_clt(cfg, out_dir: Path):
                     res.mc_stderr[i] if res.mc_stderr else "",
                 )
             )
-    _write_rows(
-        out_dir / "clt.csv", ["R", "n", "p_grid", "phi", "p_mc", "mc_stderr"], rows
+    grids.write_csv(
+        out_dir / "clt.csv", ["R", "n", "p_grid", "phi", "p_mc", "mc_stderr"], zip(*rows)
     )
     return {"experiments": [_jsonable(r) for r in outcomes]}, 0
 
@@ -306,6 +286,14 @@ _DEFAULTS: dict[str, dict] = {
 }
 
 
+# List-valued keys per command; a config file may leave them out (null) but
+# must not give a scalar or an empty list.
+_LIST_KEYS = {
+    "moments": {"p": "the moment orders"},
+    "clt": {"R": "the ball radii", "n": "the summand counts"},
+}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="autoconv", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -369,6 +357,17 @@ def _resolve_config(args) -> dict:
         cli_value = getattr(args, key, None)
         cfg[key] = cli_value if cli_value is not None else file_cfg.get(key, default)
     cfg["out_dir"] = args.out_dir or file_cfg.get("out_dir", ".")
+    for key, meaning in _LIST_KEYS.get(command, {}).items():
+        value = cfg[key]
+        if value is not None and not (
+            isinstance(value, list)
+            and value
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
+        ):
+            raise CliError(
+                f"config key {key!r} ({meaning}) must be a non-empty list of numbers, "
+                f"got {json.dumps(value)}"
+            )
     return cfg
 
 

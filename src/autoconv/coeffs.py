@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grids import write_csv
+
 # The recurrence step c*(2n-1)/(2n+2) is exact in float64 while the odd
 # numerator (a Catalan number) fits in 53 bits, which holds up to n ~ 30.
 # A scalar loop over the first EXACT_PREFIX terms keeps that evaluation
@@ -121,7 +123,8 @@ def terms_for_tail(table: CoeffTable, ratio: float, bound: float) -> int | None:
 
 def dump_csv(table: CoeffTable, path) -> None:
     """Write rows (n, c_n, S_n) in full float precision."""
-    with open(path, "w") as fh:
-        fh.write("n,c_n,partial_sum\n")
-        for i in range(table.n_max):
-            fh.write(f"{i + 1},{table.values[i]:.17g},{table.partial_sums[i]:.17g}\n")
+    write_csv(
+        path,
+        ["n", "c_n", "partial_sum"],
+        [np.arange(1, table.n_max + 1), table.values, table.partial_sums],
+    )

@@ -32,6 +32,9 @@ CONV_MASS_RTOL = 1e-9
 # Relative ceiling on the imaginary residue of an inverse transform whose
 # result is contractually real.
 IDFT_IMAG_TOL = 1e-10
+# Rows formatted per block by write_csv; one block's text and cells take a
+# few MB.
+CSV_CHUNK_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -269,16 +272,52 @@ def restrict(g: GridFunction, extent: float) -> GridFunction:
 # ----------------------------------------------------------------------
 
 
+def write_csv(path, header, columns, spec: GridSpec | None = None) -> None:
+    """Write a header line and one row per entry of equal-length columns.
+
+    Each column takes one cell format from its dtype: %d for integers, %s
+    for strings (and Python integers too large for int64), %.17g, which
+    float64 reads back bit-identically, for everything else.  With spec,
+    every row starts with the coordinates of one node of that grid in
+    row-major order (as spec.node_grids()), so each column must hold one
+    value per node; each axis node is formatted once and rows pick theirs
+    by index.  Rows are formatted CSV_CHUNK_ROWS at a time by a single
+    string % operation, which keeps memory bounded for any row count.
+    """
+    cols = [np.asarray(c).ravel() for c in columns]
+    fmts = [
+        "%d" if c.dtype.kind in "biu" else "%s" if c.dtype.kind in "OU" else "%.17g"
+        for c in cols
+    ]
+    rows = cols[0].size if cols else 0
+    strides = []
+    if spec is not None:
+        n = spec.points_per_axis
+        rows = n**spec.dim
+        strides = [n ** (spec.dim - 1 - a) for a in range(spec.dim)]
+        nodes = np.array(["%.17g" % x for x in spec.axis_nodes().tolist()], dtype=object)
+        fmts = ["%s"] * spec.dim + fmts
+    if any(c.size != rows for c in cols):
+        raise ValueError(f"columns hold {[c.size for c in cols]} values, need {rows} each")
+    row_fmt = ",".join(fmts) + "\n"
+    width = len(fmts)
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, rows, CSV_CHUNK_ROWS):
+            stop = min(start + CSV_CHUNK_ROWS, rows)
+            cells = [None] * (width * (stop - start))
+            index = np.arange(start, stop)
+            for k, stride in enumerate(strides):
+                cells[k::width] = nodes[index // stride % n].tolist()
+            for k, c in enumerate(cols, start=len(strides)):
+                cells[k::width] = c[start:stop].tolist()
+            fh.write((row_fmt * (stop - start)) % tuple(cells))
+
+
 def to_csv(g: GridFunction, path) -> None:
     """Write one row per node: coordinates then value, full precision."""
-    spec = g.spec
-    grids = spec.node_grids()
-    cols = [grid.ravel() for grid in grids] + [g.values.ravel()]
-    header = ",".join([f"x{i + 1}" for i in range(spec.dim)] + ["value"])
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in zip(*cols):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    header = [f"x{i + 1}" for i in range(g.spec.dim)] + ["value"]
+    write_csv(path, header, [g.values], spec=g.spec)
 
 
 def from_csv(path) -> GridFunction:

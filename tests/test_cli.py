@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from autoconv import clt
+from autoconv import analyze, clt, families, grids
 from autoconv.cli import main
 
 
@@ -276,3 +277,130 @@ def test_missing_input_errors(tmp_path):
 def test_usage_error(capsys):
     assert main(["frobnicate"]) == 1
     assert "error" in json.loads(capsys.readouterr().out)
+
+
+# Oracle: the per-cell CSV writer the CLI used before grids.write_csv.
+def reference_format_cell(v):
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, str):
+        return v
+    return f"{float(v):.17g}"
+
+
+def reference_write_rows(path, header, rows):
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(reference_format_cell(v) for v in row) + "\n")
+
+
+@pytest.mark.parametrize("chunk", [7, grids.CSV_CHUNK_ROWS])
+def test_writer_matches_per_cell_writer_on_mixed_columns(tmp_path, monkeypatch, chunk):
+    # signed zero, the smallest subnormal, huge values and both sides of
+    # %.17g's switches between fixed and exponent form
+    awkward = [-0.0, 5e-324, 1e300, 1e-5, 1e-4, 1e16, 1e17, 0.1, -2.5, 1.0, 0.0]
+    monkeypatch.setattr(grids, "CSV_CHUNK_ROWS", chunk)
+    rows = 2 * len(awkward)
+    columns = [
+        np.arange(rows) + 2**53 - 3,  # int64 past float64's exact integers
+        [2**70 + i for i in range(rows)],  # Python ints past int64
+        np.resize(np.array(awkward), rows),
+        [""] * rows,
+        [float(v) for v in np.resize(np.array(awkward[::-1]), rows)],
+    ]
+    header = ["i", "big", "x", "blank", "y"]
+    grids.write_csv(tmp_path / "new.csv", header, columns)
+    reference_write_rows(tmp_path / "old.csv", header, zip(*columns))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("d,L,N", [(1, "100", "1024"), (3, "5", "16")])
+def test_verify_csv_matches_per_cell_writer(tmp_path, d, L, N):
+    code = main(
+        [
+            "verify", "--family", "poisson", "--a", "0.5", "--t", "0.9", "--d", str(d),
+            "--L", L, "--N", N, "--out-dir", str(tmp_path),
+        ]
+    )
+    assert code == 0
+    spec = grids.GridSpec(dim=d, extent=float(L), points_per_axis=int(N))
+    f = grids.sample(spec, families.poisson(families.PoissonParams(a=0.5, t=0.9, d=d)))
+    residual = analyze.recovered_residual(f)
+    rows = zip(
+        *([grid.ravel() for grid in spec.node_grids()] + [f.values.ravel(), residual.values.ravel()])
+    )
+    header = [f"x{i + 1}" for i in range(d)] + ["f", "residual"]
+    reference_write_rows(tmp_path / "old.csv", header, rows)
+    assert (tmp_path / "verify_residual.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_moments_csv_matches_per_cell_writer(tmp_path):
+    code = main(
+        [
+            "moments", "--family", "poisson", "--a", "0.5", "--t", "1", "--L", "640",
+            "--N", "4096", "--p", "1", "--p", "0.5", "--levels", "4", "--out-dir", str(tmp_path),
+        ]
+    )
+    assert code == 0
+    spec = grids.GridSpec(dim=1, extent=640.0, points_per_axis=4096)
+    f = grids.sample(spec, families.poisson(families.PoissonParams(a=0.5, t=1.0, d=1)))
+    rows = []
+    for p in (1.0, 0.5):
+        rep = analyze.moment_scan(f, p, levels=4)
+        rows += [(rep.order, r, v) for r, v in zip(rep.radii, rep.values)]
+    reference_write_rows(tmp_path / "old.csv", ["p", "radius", "truncated_moment"], rows)
+    assert (tmp_path / "moments.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_clt_csv_without_samples_matches_per_cell_writer(tmp_path, monkeypatch):
+    outcomes = []
+    original = clt.run_experiments
+
+    def recording(*args, **kwargs):
+        outcomes.extend(original(*args, **kwargs))
+        return outcomes
+
+    monkeypatch.setattr(clt, "run_experiments", recording)
+    code = main(
+        [
+            "clt", "--kind", "infinite_variance", "--R", "1", "--R", "2", "--n", "4",
+            "--n", "16", "--samples", "0", "--out-dir", str(tmp_path),
+        ]
+    )
+    assert code == 0
+    rows = [
+        (res.ball_radius, n, res.p_values[i], res.phi_values[i], "", "")
+        for res in outcomes
+        for i, n in enumerate(res.n_list)
+    ]
+    header = ["R", "n", "p_grid", "phi", "p_mc", "mc_stderr"]
+    reference_write_rows(tmp_path / "old.csv", header, rows)
+    new = (tmp_path / "clt.csv").read_bytes()
+    assert new == (tmp_path / "old.csv").read_bytes()
+    assert new.splitlines()[1].endswith(b",,")
+
+
+@pytest.mark.parametrize(
+    "command,config,key",
+    [
+        ("clt", {"kind": "finite_variance", "n": [], "samples": 0}, "n"),
+        ("clt", {"kind": "finite_variance", "n": 4, "samples": 0}, "n"),
+        ("clt", {"kind": "finite_variance", "n": ["4"], "samples": 0}, "n"),
+        ("clt", {"kind": "finite_variance", "R": 2, "samples": 0}, "R"),
+        ("clt", {"kind": "finite_variance", "R": [1, True], "samples": 0}, "R"),
+        ("moments", {"family": "poisson", "L": 640, "N": 4096, "p": []}, "p"),
+        ("moments", {"family": "poisson", "L": 640, "N": 4096, "p": 2}, "p"),
+    ],
+)
+def test_list_keys_in_config_must_be_non_empty_number_lists(
+    tmp_path, capsys, command, config, key
+):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    code = main([command, "--config", str(path), "--out-dir", str(tmp_path)])
+    assert code == 1
+    out = capsys.readouterr().out.strip()
+    assert len(out.splitlines()) == 1
+    assert f"config key {key!r}" in json.loads(out)["error"]
+    assert not list(tmp_path.glob("*.csv"))

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from autoconv import grids
 from autoconv.coeffs import build_coeffs, dump_csv, tail_bound, terms_for_tail
 
 
@@ -163,3 +164,21 @@ def test_csv_dump(tmp_path):
     last = lines[-1].split(",")
     assert last[0] == "4"
     assert float(last[1]) == 5.0 / 128.0
+
+
+def reference_dump_csv(table, path):
+    """The per-row writer dump_csv replaced, kept as an oracle."""
+    with open(path, "w") as fh:
+        fh.write("n,c_n,partial_sum\n")
+        for i in range(table.n_max):
+            fh.write(f"{i + 1},{table.values[i]:.17g},{table.partial_sums[i]:.17g}\n")
+
+
+@pytest.mark.parametrize("chunk", [7, grids.CSV_CHUNK_ROWS])
+def test_csv_dump_matches_per_row_writer(tmp_path, monkeypatch, chunk):
+    # 200 rows: 28 full blocks of 7 and one of 4 at the smaller chunk
+    monkeypatch.setattr(grids, "CSV_CHUNK_ROWS", chunk)
+    table = build_coeffs(200)
+    dump_csv(table, tmp_path / "new.csv")
+    reference_dump_csv(table, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

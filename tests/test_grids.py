@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from autoconv import families
+from autoconv import families, grids
 from autoconv.grids import (
     ConvolutionPlan,
     GridFunction,
@@ -21,6 +21,7 @@ from autoconv.grids import (
     sample,
     to_csv,
     to_json,
+    write_csv,
 )
 
 
@@ -370,3 +371,73 @@ class TestSerialization:
         back = from_csv(path)
         assert back.spec == spec
         np.testing.assert_array_equal(back.values, g.values)
+
+
+# Oracle: the per-cell writer that to_csv used before write_csv, kept verbatim.
+def reference_to_csv(g, path):
+    spec = g.spec
+    cols = [grid.ravel() for grid in spec.node_grids()] + [g.values.ravel()]
+    header = ",".join([f"x{i + 1}" for i in range(spec.dim)] + ["value"])
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in zip(*cols):
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+
+
+# Values where %.17g is easy to get wrong: signed zero, the smallest
+# subnormal, huge and tiny magnitudes, and both sides of the switches
+# between fixed and exponent form (exponent -5 and 17).
+AWKWARD = [-0.0, 5e-324, 1e300, -1e300, 1e-5, 1e-4, 9.999999999999999e-5, 1e16, 1e17,
+           0.1, -2.5, 123456789.123456789, 1.0, 0.0]
+
+
+def awkward_function(dim, n):
+    # nodes -0.7 + 1.4 j / n need all 17 significant digits
+    spec = GridSpec(dim=dim, extent=0.7, points_per_axis=n)
+    size = n**dim
+    values = np.resize(np.array(AWKWARD), size) * np.where(np.arange(size) % 3 == 1, -1.0, 1.0)
+    values[::5] = np.random.default_rng(dim).standard_normal(values[::5].size)
+    return GridFunction(spec=spec, values=values.reshape(spec.shape))
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("dim,n", [(1, 64), (2, 16), (3, 8)])
+    def test_to_csv_matches_per_cell_writer(self, tmp_path, dim, n):
+        g = awkward_function(dim, n)
+        to_csv(g, tmp_path / "new.csv")
+        reference_to_csv(g, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("dim,n", [(1, 64), (2, 16), (3, 8)])
+    def test_to_csv_round_trip_is_bit_identical(self, tmp_path, dim, n):
+        g = awkward_function(dim, n)
+        to_csv(g, tmp_path / "g.csv")
+        back = from_csv(tmp_path / "g.csv")
+        assert back.spec == g.spec
+        assert back.values.tobytes() == g.values.tobytes()
+
+    def test_to_csv_in_partial_chunks(self, tmp_path, monkeypatch):
+        # 64 rows in blocks of 7: nine full blocks and one of a single row
+        monkeypatch.setattr(grids, "CSV_CHUNK_ROWS", 7)
+        g = awkward_function(2, 8)
+        to_csv(g, tmp_path / "new.csv")
+        reference_to_csv(g, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_3d_coordinates_follow_node_grids_row_major(self, tmp_path):
+        g = awkward_function(3, 8)
+        to_csv(g, tmp_path / "g.csv")
+        data = np.loadtxt(tmp_path / "g.csv", delimiter=",", skiprows=1)
+        expected = np.stack([grid.ravel() for grid in g.spec.node_grids()], axis=1)
+        assert data[:, :3].tobytes() == expected.tobytes()
+
+    def test_no_rows_writes_the_header(self, tmp_path):
+        write_csv(tmp_path / "empty.csv", ["a", "b"], [[], []])
+        assert (tmp_path / "empty.csv").read_text() == "a,b\n"
+
+    def test_column_lengths_checked(self, tmp_path):
+        with pytest.raises(ValueError, match="need 3 each"):
+            write_csv(tmp_path / "bad.csv", ["a", "b"], [[1, 2, 3], [1.0, 2.0]])
+        spec = GridSpec(dim=2, extent=1.0, points_per_axis=8)
+        with pytest.raises(ValueError, match="need 64 each"):
+            write_csv(tmp_path / "bad.csv", ["x1", "x2", "v"], [np.zeros(8)], spec=spec)
