@@ -358,8 +358,9 @@ def test_clt_csv_without_samples_matches_per_cell_writer(tmp_path, monkeypatch):
     original = clt.run_experiments
 
     def recording(*args, **kwargs):
-        outcomes.extend(original(*args, **kwargs))
-        return outcomes
+        result = original(*args, **kwargs)
+        outcomes.extend(result)
+        return result
 
     monkeypatch.setattr(clt, "run_experiments", recording)
     code = main(
