@@ -4,9 +4,10 @@ Every subcommand writes <out-dir>/<command>_report.json holding a
 deterministic "report" object (command, version, resolved config,
 results) next to a "timestamp" field that is kept outside the report so
 identical configs reproduce it byte for byte.  CSV artifacts carry the
-plot-ready series.  Exit codes: 0 success or verdict solution, 2
-inequality violation, 1 usage or numeric error (with a single-line
-{"error": ...} on stdout).
+plot-ready series.  A --config JSON file may supply any flag; each value
+must have the flag's type, and null means the key is absent.  Exit codes:
+0 success or verdict solution, 2 inequality violation, 1 usage or
+numeric error (with a single-line {"error": ...} on stdout).
 """
 
 from __future__ import annotations
@@ -51,51 +52,40 @@ def _jsonable(obj):
 
 
 def _grid_spec(cfg) -> grids.GridSpec:
-    return grids.GridSpec(
-        dim=int(cfg["d"]), extent=float(cfg["L"]), points_per_axis=int(cfg["N"])
-    )
+    return grids.GridSpec(dim=cfg["d"], extent=cfg["L"], points_per_axis=cfg["N"])
 
 
-def _load_function(path: str) -> grids.GridFunction:
-    if path.endswith(".json"):
-        return grids.from_json(path)
-    return grids.from_csv(path)
+def _grid_function(cfg, named) -> grids.GridFunction:
+    """The grid file given by --input, else named(cfg, spec) on the config's grid."""
+    path = cfg["input"]
+    if path:
+        return grids.from_json(path) if path.endswith(".json") else grids.from_csv(path)
+    return named(cfg, _grid_spec(cfg))
 
 
-def _family_evaluator(cfg):
-    name = cfg["family"]
+def _family(cfg, spec) -> grids.GridFunction:
+    name, a = cfg["family"], cfg["a"]
+    if name == "reverse":
+        return families.reverse_example(spec, a=a, delta=cfg["delta"])
     if name == "poisson":
-        return families.poisson(
-            families.PoissonParams(a=cfg["a"], t=cfg["t"], d=int(cfg["d"]))
-        )
-    if name == "poisson_margin":
-        return families.poisson_inequality_margin(cfg["a"], cfg["t"], int(cfg["d"]))
-    if name == "sinc":
-        return families.sinc_counterexample(families.SincParams(a=cfg["a"]))
-    if name == "heavy_tail":
-        return families.heavy_tail_density()
-    if name == "gaussian":
-        return families.gaussian_density(sigma=cfg["sigma"])
-    raise CliError(f"unknown family {name!r}")
+        evaluator = families.poisson(families.PoissonParams(a=a, t=cfg["t"], d=cfg["d"]))
+    elif name == "poisson_margin":
+        evaluator = families.poisson_inequality_margin(a, cfg["t"], cfg["d"])
+    elif name == "sinc":
+        evaluator = families.sinc_counterexample(families.SincParams(a=a))
+    elif name == "heavy_tail":
+        evaluator = families.heavy_tail_density()
+    elif name == "gaussian":
+        evaluator = families.gaussian_density(sigma=cfg["sigma"])
+    elif name:
+        raise CliError(f"unknown family {name!r}")
+    else:
+        raise CliError("provide either --input or --family")
+    return grids.sample(spec, evaluator)
 
 
-def _input_function(cfg) -> grids.GridFunction:
-    """A grid function from --input, --family, or a named residual."""
-    if cfg.get("input"):
-        return _load_function(cfg["input"])
-    spec = _grid_spec(cfg)
-    if cfg.get("family") == "reverse":
-        return families.reverse_example(spec, a=cfg["a"], delta=cfg["delta"])
-    if cfg.get("family"):
-        return grids.sample(spec, _family_evaluator(cfg))
-    raise CliError("provide either --input or --family")
-
-
-def _residual_function(cfg) -> grids.GridFunction:
-    if cfg.get("input"):
-        return _load_function(cfg["input"])
-    spec = _grid_spec(cfg)
-    name = cfg.get("residual")
+def _residual(cfg, spec) -> grids.GridFunction:
+    name = cfg["residual"]
     if name == "gaussian":
         raw = grids.sample(spec, families.gaussian_density(sigma=cfg["sigma"]))
         scale = cfg["mass"] / grids.integrate(raw)
@@ -104,7 +94,7 @@ def _residual_function(cfg) -> grids.GridFunction:
         return construct.bump_residual(spec, cfg["mass"], cfg["profile"])
     if name == "poisson_margin":
         return grids.sample(
-            spec, families.poisson_inequality_margin(cfg["a"], cfg["t"], int(cfg["d"]))
+            spec, families.poisson_inequality_margin(cfg["a"], cfg["t"], cfg["d"])
         )
     raise CliError("provide either --input or --residual {gaussian,bump,poisson_margin}")
 
@@ -115,7 +105,7 @@ def _residual_function(cfg) -> grids.GridFunction:
 
 
 def _run_coeffs(cfg, out_dir: Path):
-    table = coeffs.build_coeffs(int(cfg["n"]))
+    table = coeffs.build_coeffs(cfg["n"])
     coeffs.dump_csv(table, out_dir / "coeffs.csv")
     results = {
         "n_max": table.n_max,
@@ -127,11 +117,11 @@ def _run_coeffs(cfg, out_dir: Path):
 
 
 def _run_family(cfg, out_dir: Path):
-    g = _input_function(cfg)
+    g = _grid_function(cfg, _family)
     grids.to_csv(g, out_dir / "family.csv")
     grids.to_json(g, out_dir / "family.json")
     results = {
-        "family": cfg.get("family"),
+        "family": cfg["family"],
         "mass": grids.integrate(g),
         "min_value": float(g.values.min()),
         "max_value": float(g.values.max()),
@@ -140,14 +130,14 @@ def _run_family(cfg, out_dir: Path):
 
 
 def _run_construct(cfg, out_dir: Path):
-    u = _residual_function(cfg)
     method = cfg["method"]
+    if method not in ("series", "spectral", "both"):
+        raise CliError(f"unknown method {method!r}: use series, spectral or both")
+    u = _grid_function(cfg, _residual)
     results: dict = {"residual_mass": grids.integrate(u)}
     series_build = None
     if method in ("series", "both"):
-        series_build = construct.build_series(
-            u, epsilon=cfg["epsilon"], term_cap=int(cfg["term_cap"])
-        )
+        series_build = construct.build_series(u, epsilon=cfg["epsilon"])
         grids.to_csv(series_build.solution, out_dir / "construct_series.csv")
         results.update(
             ratio=series_build.ratio,
@@ -166,7 +156,7 @@ def _run_construct(cfg, out_dir: Path):
 
 
 def _run_verify(cfg, out_dir: Path):
-    f = _input_function(cfg)
+    f = _grid_function(cfg, _family)
     residual = analyze.recovered_residual(f)
     report = analyze.scan_residual(f, residual, tolerance=cfg["tolerance"])
     grids.write_csv(
@@ -179,9 +169,9 @@ def _run_verify(cfg, out_dir: Path):
 
 
 def _run_moments(cfg, out_dir: Path):
-    f = _input_function(cfg)
+    f = _grid_function(cfg, _family)
     orders = cfg["p"] or [1.0]
-    reports = [analyze.moment_scan(f, p, levels=int(cfg["levels"])) for p in orders]
+    reports = [analyze.moment_scan(f, p, levels=cfg["levels"]) for p in orders]
     rows = []
     for rep in reports:
         for radius, value in zip(rep.radii, rep.values):
@@ -191,13 +181,11 @@ def _run_moments(cfg, out_dir: Path):
 
 
 def _run_clt(cfg, out_dir: Path):
-    radii = [1.0] if cfg["R"] is None else cfg["R"]
-    n_list = tuple(int(n) for n in (cfg["n"] or (4, 16, 64, 256)))
     outcomes = clt.run_experiments(
         cfg["kind"],
-        tuple(float(radius) for radius in radii),
-        n_list=n_list,
-        mc_samples=int(cfg["samples"]),
+        cfg["R"] or (1.0,),
+        n_list=cfg["n"] or (4, 16, 64, 256),
+        mc_samples=cfg["samples"],
         seed=cfg["seed"],
     )
     rows = []
@@ -228,146 +216,131 @@ _RUNNERS = {
     "clt": _run_clt,
 }
 
-# Per-command option names and defaults; None means "must come from the
-# command line or the config file if used at all".
-_GRID = {"d": 1, "L": 100.0, "N": 16384}
-_DEFAULTS: dict[str, dict] = {
-    "coeffs": {"n": 100},
-    "family": {
-        **_GRID,
-        "family": None,
-        "input": None,
-        "a": 0.5,
-        "t": 1.0,
-        "sigma": 1.0,
-        "delta": 0.0,
-    },
+# Every option once: {command: {key: (type, default, meaning)}}.  A list
+# type marks a repeatable flag; a None default means the option is unset
+# unless given.  The table drives the flags, the config-file keys and
+# their type checks.
+_GRID = {
+    "d": (int, 1, "dimension: 1, 2 or 3"),
+    "L": (float, 100.0, "grid window [-L, L) per axis"),
+    "N": (int, 16384, "grid points per axis, a power of two"),
+}
+_FAMILY = {
+    **_GRID,
+    "family": (str, None, "poisson, poisson_margin, sinc, heavy_tail, gaussian or reverse"),
+    "input": (str, None, "grid file (.csv or .json) in place of a family"),
+    "a": (float, 0.5, "family parameter a"),
+    "t": (float, 1.0, "Poisson scale t"),
+    "sigma": (float, 1.0, "Gaussian width"),
+    "delta": (float, 0.0, "reverse-example parameter delta"),
+}
+_OUT = {"out_dir": (str, ".", "artifact directory")}
+_OPTIONS: dict[str, dict] = {
+    "coeffs": {"n": (int, 100, "number of coefficients"), **_OUT},
+    "family": {**_FAMILY, **_OUT},
     "construct": {
         **_GRID,
-        "input": None,
-        "residual": None,
-        "mass": 0.1875,
-        "sigma": 1.0,
-        "profile": "indicator",
-        "a": 0.5,
-        "t": 1.0,
-        "epsilon": None,
-        "term_cap": construct.DEFAULT_TERM_CAP,
-        "method": "both",
+        "input": (str, None, "residual grid file (.csv or .json)"),
+        "residual": (str, None, "gaussian, bump or poisson_margin"),
+        "mass": (float, 0.1875, "residual mass, at most 1/4"),
+        "sigma": (float, 1.0, "Gaussian residual width"),
+        "profile": (str, "indicator", "bump profile: indicator or cosine"),
+        "a": (float, 0.5, "Poisson margin parameter a"),
+        "t": (float, 1.0, "Poisson margin scale t"),
+        "epsilon": (float, None, "L1 truncation target of the series"),
+        "method": (str, "both", "series, spectral or both"),
+        **_OUT,
     },
-    "verify": {
-        **_GRID,
-        "family": None,
-        "input": None,
-        "a": 0.5,
-        "t": 1.0,
-        "sigma": 1.0,
-        "delta": 0.0,
-        "tolerance": None,
-    },
+    "verify": {**_FAMILY, "tolerance": (float, None, "violation tolerance"), **_OUT},
     "moments": {
-        **_GRID,
-        "family": None,
-        "input": None,
-        "a": 0.5,
-        "t": 1.0,
-        "sigma": 1.0,
-        "delta": 0.0,
-        "p": None,
-        "levels": 4,
+        **_FAMILY,
+        "p": ([float], None, "the moment orders"),
+        "levels": (int, 4, "radius levels of the scan"),
+        **_OUT,
     },
     "clt": {
-        "kind": None,
-        "R": None,
-        "n": None,
-        "samples": 100000,
-        "seed": 0,
+        "kind": (str, None, "finite_variance or infinite_variance"),
+        "R": ([float], None, "the ball radii"),
+        "n": ([int], None, "the summand counts"),
+        "samples": (int, 100000, "Monte Carlo draws per n; 0 skips"),
+        "seed": (int, 0, "Monte Carlo seed"),
+        **_OUT,
     },
-}
-
-
-# List-valued keys per command; a config file may leave them out (null) but
-# must not give a scalar or an empty list.
-_LIST_KEYS = {
-    "moments": {"p": "the moment orders"},
-    "clt": {"R": "the ball radii", "n": "the summand counts"},
 }
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="autoconv", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(cmd, *flags):
-        p = sub.add_parser(cmd)
+    for command, options in _OPTIONS.items():
+        p = sub.add_parser(command)
         p.add_argument("--config", default=None, help="JSON file mirroring the flags")
-        p.add_argument("--out-dir", default=None, help="artifact directory (default .)")
-        for flag, kind in flags:
-            if kind == "append":
-                p.add_argument(f"--{flag}", action="append", type=float, default=None)
-            elif kind == "append_int":
-                p.add_argument(f"--{flag}", action="append", type=int, default=None)
-            else:
-                p.add_argument(f"--{flag.replace('_', '-')}", dest=flag, type=kind, default=None)
-        return p
-
-    add("coeffs", ("n", int))
-    add(
-        "family",
-        ("family", str), ("input", str), ("d", int), ("L", float), ("N", int),
-        ("a", float), ("t", float), ("sigma", float), ("delta", float),
-    )
-    add(
-        "construct",
-        ("input", str), ("residual", str), ("d", int), ("L", float), ("N", int),
-        ("mass", float), ("sigma", float), ("profile", str), ("a", float), ("t", float),
-        ("epsilon", float), ("term_cap", int), ("method", str),
-    )
-    add(
-        "verify",
-        ("family", str), ("input", str), ("d", int), ("L", float), ("N", int),
-        ("a", float), ("t", float), ("sigma", float), ("delta", float),
-        ("tolerance", float),
-    )
-    add(
-        "moments",
-        ("family", str), ("input", str), ("d", int), ("L", float), ("N", int),
-        ("a", float), ("t", float), ("sigma", float), ("delta", float),
-        ("p", "append"), ("levels", int),
-    )
-    add(
-        "clt",
-        ("kind", str), ("R", "append"), ("n", "append_int"),
-        ("samples", int), ("seed", int),
-    )
+        for key, (kind, _, meaning) in options.items():
+            repeat = isinstance(kind, list)
+            p.add_argument(
+                f"--{key.replace('_', '-')}",
+                dest=key,
+                type=kind[0] if repeat else kind,
+                action="append" if repeat else "store",
+                help=meaning,
+            )
     return parser
 
 
+_TYPE_NAMES = {
+    int: ("an integer", "integers"),
+    float: ("a number", "numbers"),
+    str: ("a string", "strings"),
+}
+
+
+def _typed(kind, value):
+    """value as a flag of type kind would give it; ValueError if it would not.
+
+    An int is taken for a float and an integral number for an int; bools
+    are never numbers.
+    """
+    if kind is str and isinstance(value, str):
+        return value
+    if kind in (int, float) and isinstance(value, (int, float)) and not isinstance(value, bool):
+        if kind is float or isinstance(value, int) or value.is_integer():
+            return kind(value)
+    raise ValueError
+
+
+def _config_value(key, kind, meaning, value):
+    """A config file's value for key, with the type its flag would give it."""
+    try:
+        if not isinstance(kind, list):
+            return _typed(kind, value)
+        if isinstance(value, list) and value:
+            return [_typed(kind[0], v) for v in value]
+    except ValueError:
+        pass
+    want = (
+        f"a non-empty list of {_TYPE_NAMES[kind[0]][1]}"
+        if isinstance(kind, list)
+        else _TYPE_NAMES[kind][0]
+    )
+    raise CliError(f"config key {key!r} ({meaning}) must be {want}, got {json.dumps(value)}")
+
+
 def _resolve_config(args) -> dict:
-    command = args.command
+    """Flags over config-file values over defaults; a null value is absent."""
+    options = _OPTIONS[args.command]
     file_cfg = {}
     if args.config:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
-        unknown = set(file_cfg) - set(_DEFAULTS[command]) - {"out_dir"}
+        unknown = set(file_cfg) - set(options)
         if unknown:
-            raise CliError(f"unknown config keys for {command}: {sorted(unknown)}")
+            raise CliError(f"unknown config keys for {args.command}: {sorted(unknown)}")
     cfg = {}
-    for key, default in _DEFAULTS[command].items():
-        cli_value = getattr(args, key, None)
-        cfg[key] = cli_value if cli_value is not None else file_cfg.get(key, default)
-    cfg["out_dir"] = args.out_dir or file_cfg.get("out_dir", ".")
-    for key, meaning in _LIST_KEYS.get(command, {}).items():
-        value = cfg[key]
-        if value is not None and not (
-            isinstance(value, list)
-            and value
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-        ):
-            raise CliError(
-                f"config key {key!r} ({meaning}) must be a non-empty list of numbers, "
-                f"got {json.dumps(value)}"
-            )
+    for key, (kind, default, meaning) in options.items():
+        value = file_cfg.get(key)
+        value = default if value is None else _config_value(key, kind, meaning, value)
+        flag = getattr(args, key)
+        cfg[key] = value if flag is None else flag
     return cfg
 
 

@@ -100,8 +100,8 @@ def tail_bound(table: CoeffTable, n_terms: int, ratio: float) -> float:
 def terms_for_tail(table: CoeffTable, ratio: float, bound: float) -> int | None:
     """Smallest N with tail_bound(table, N, ratio) <= bound, or None.
 
-    Scans the whole table vectorized; None means the table is too short
-    and the caller should retry with a larger one.
+    Scans the whole table vectorized; None means that no N < n_max
+    reaches the bound.
     """
     if not 0.0 <= ratio <= 1.0:
         raise ValueError(f"ratio must lie in [0, 1], got {ratio}")

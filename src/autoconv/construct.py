@@ -44,15 +44,19 @@ MASS_RTOL = 1e-6
 # below -SPECTRAL_CLAMP means the mass genuinely exceeds 1/4.
 SPECTRAL_CLAMP = 1e-9
 
-DEFAULT_TERM_CAP = 100_000
+# Most terms a series build may sum.  Near the critical mass the tail
+# decays like 1/sqrt(pi N), so a tight target there is refused rather
+# than summed over millions of convolutions.
+TERM_CAP = 100_000
 
-_coeff_cache: dict[int, CoeffTable] = {}
+_coeff_cache: list[CoeffTable] = []
 
 
-def _coeff_table(n_max: int) -> CoeffTable:
-    if n_max not in _coeff_cache:
-        _coeff_cache[n_max] = build_coeffs(n_max)
-    return _coeff_cache[n_max]
+def _coeff_table() -> CoeffTable:
+    """c_1..c_{TERM_CAP+1}, built on first use and shared by every build."""
+    if not _coeff_cache:
+        _coeff_cache.append(build_coeffs(TERM_CAP + 1))
+    return _coeff_cache[0]
 
 
 @dataclass(frozen=True)
@@ -81,7 +85,12 @@ def default_epsilon(ratio: float) -> float:
     return 1e-2
 
 
-def _validated_residual(u: GridFunction) -> GridFunction:
+def _validated_residual(u: GridFunction) -> tuple[GridFunction, float]:
+    """The residual with noise-level negatives clamped, and its mass.
+
+    Raises if a value is negative beyond the noise floor or the mass
+    exceeds 1/4 beyond tolerance.
+    """
     low = float(u.values.min())
     if low < 0.0:
         if low < -NEGATIVE_CLAMP:
@@ -94,14 +103,16 @@ def _validated_residual(u: GridFunction) -> GridFunction:
             stacklevel=3,
         )
         u = GridFunction(spec=u.spec, values=np.maximum(u.values, 0.0))
-    return u
+    b = integrate(u)
+    if b > 0.25 * (1.0 + MASS_RTOL):
+        raise ValueError(
+            f"residual mass {b:.8f} exceeds 1/4: the construction requires "
+            f"0 <= mass <= 1/4"
+        )
+    return u, b
 
 
-def build_series(
-    u: GridFunction,
-    epsilon: float | None = None,
-    term_cap: int = DEFAULT_TERM_CAP,
-) -> SeriesBuild:
+def build_series(u: GridFunction, epsilon: float | None = None) -> SeriesBuild:
     """Sum the coefficient-weighted convolution powers of the residual.
 
     Powers are computed incrementally, one linear convolution per term, on
@@ -112,17 +123,11 @@ def build_series(
     epsilon (default by regime, see default_epsilon).
 
     Raises if the residual mass exceeds 1/4 beyond tolerance, or if the
-    target would need more than term_cap terms (which only happens near
+    target would need more than TERM_CAP terms (which only happens near
     the critical mass with a tiny epsilon); the error reports the bound
     that was achievable.
     """
-    u = _validated_residual(u)
-    b = integrate(u)
-    if b > 0.25 * (1.0 + MASS_RTOL):
-        raise ValueError(
-            f"residual mass {b:.8f} exceeds 1/4: the construction requires "
-            f"0 <= mass <= 1/4"
-        )
+    u, b = _validated_residual(u)
     ratio = 4.0 * b
     capped_ratio = min(ratio, 1.0)
     if epsilon is None:
@@ -130,15 +135,12 @@ def build_series(
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
 
-    table = _coeff_table(4096 if capped_ratio < 1.0 else 65536)
+    table = _coeff_table()
     n_terms = terms_for_tail(table, capped_ratio, 2.0 * epsilon)
     if n_terms is None:
-        table = _coeff_table(max(2 * term_cap, 131072))
-        n_terms = terms_for_tail(table, capped_ratio, 2.0 * epsilon)
-    if n_terms is None or n_terms > term_cap:
-        achieved = 0.5 * tail_bound(table, min(term_cap, table.n_max - 1), capped_ratio)
+        achieved = 0.5 * tail_bound(table, TERM_CAP, capped_ratio)
         raise ValueError(
-            f"epsilon {epsilon:.3e} needs more than {term_cap} terms "
+            f"epsilon {epsilon:.3e} needs more than {TERM_CAP} terms "
             f"(achievable tail at the cap: {achieved:.3e})"
         )
 
@@ -179,13 +181,7 @@ def build_spectral(u: GridFunction) -> GridFunction:
     between adjacent frequency samples that looks like a sign flip is
     therefore an integrity failure and raises instead of being patched.
     """
-    u = _validated_residual(u)
-    b = integrate(u)
-    if b > 0.25 * (1.0 + MASS_RTOL):
-        raise ValueError(
-            f"residual mass {b:.8f} exceeds 1/4: the construction requires "
-            f"0 <= mass <= 1/4"
-        )
+    u, _ = _validated_residual(u)
     spec = u.spec
     uhat = dft(u).values
     center = (spec.points_per_axis // 2,) * spec.dim

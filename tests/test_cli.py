@@ -392,6 +392,14 @@ def test_clt_csv_without_samples_matches_per_cell_writer(tmp_path, monkeypatch):
         ("clt", {"kind": "finite_variance", "R": [1, True], "samples": 0}, "R"),
         ("moments", {"family": "poisson", "L": 640, "N": 4096, "p": []}, "p"),
         ("moments", {"family": "poisson", "L": 640, "N": 4096, "p": 2}, "p"),
+        ("verify", {"family": "poisson", "N": 64.5}, "N"),
+        ("clt", {"kind": "finite_variance", "n": [4.5], "samples": 0}, "n"),
+        ("clt", {"kind": "finite_variance", "n": [4], "samples": 10.7}, "samples"),
+        ("coeffs", {"n": 12.9}, "n"),
+        ("moments", {"family": "poisson", "L": 640, "N": 4096, "levels": 4.9}, "levels"),
+        ("construct", {"residual": "gaussian", "L": "40", "N": 512}, "L"),
+        ("clt", {"kind": "finite_variance", "n": [4], "samples": 0, "seed": 1.5}, "seed"),
+        ("clt", {"kind": "finite_variance", "n": [4], "samples": True}, "samples"),
     ],
 )
 def test_list_keys_in_config_must_be_non_empty_number_lists(
@@ -405,3 +413,51 @@ def test_list_keys_in_config_must_be_non_empty_number_lists(
     assert len(out.splitlines()) == 1
     assert f"config key {key!r}" in json.loads(out)["error"]
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_null_seed_in_config_runs_at_seed_zero(tmp_path):
+    config = tmp_path / "clt.json"
+    config.write_text(
+        json.dumps({"kind": "finite_variance", "n": [4], "samples": 500, "seed": None})
+    )
+    flags = ["--kind", "finite_variance", "--n", "4", "--samples", "500", "--seed", "0"]
+    reports = []
+    for argv in (["--config", str(config)], ["--config", str(config)], flags):
+        assert main(["clt", *argv, "--out-dir", str(tmp_path)]) == 0
+        reports.append(json.dumps(read_report(tmp_path, "clt")["report"]))
+    assert json.loads(reports[0])["config"]["seed"] == 0
+    assert reports[0] == reports[1] == reports[2]
+
+
+def test_config_value_and_flag_give_the_same_report(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"residual": "bump", "mass": 0.125, "L": 24, "N": 2048}))
+    outputs = []
+    for argv in (
+        ["--config", str(config)],
+        ["--residual", "bump", "--mass", "0.125", "--L", "24", "--N", "2048"],
+    ):
+        assert main(["construct", *argv, "--out-dir", str(tmp_path)]) == 0
+        outputs.append(
+            (
+                json.dumps(read_report(tmp_path, "construct")["report"]),
+                (tmp_path / "construct_series.csv").read_bytes(),
+                (tmp_path / "construct_spectral.csv").read_bytes(),
+            )
+        )
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0][0])["config"]["L"] == 24.0
+
+
+def test_unknown_construct_method_rejected(tmp_path, capsys):
+    code = main(
+        [
+            "construct", "--residual", "gaussian", "--L", "40", "--N", "512",
+            "--method", "bogus", "--out-dir", str(tmp_path),
+        ]
+    )
+    assert code == 1
+    out = capsys.readouterr().out.strip()
+    assert len(out.splitlines()) == 1
+    assert "bogus" in json.loads(out)["error"]
+    assert not list(tmp_path.glob("*"))

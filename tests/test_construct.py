@@ -126,7 +126,7 @@ class TestBuildSeries:
 
     def test_term_cap_reports_achievable_tail(self):
         with pytest.raises(ValueError, match="achievable tail"):
-            build_series(gaussian_residual(0.25), epsilon=1e-4, term_cap=50)
+            build_series(gaussian_residual(0.25), epsilon=1e-4)
 
     def test_monotone_in_residual(self):
         small = build_series(gaussian_residual(0.12), epsilon=1e-5)
