@@ -23,6 +23,9 @@ from .grids import GridFunction, convolve, integrate, moment, restrict
 # from the violation scan: linear convolution under-computes f*f there.
 BOUNDARY_BAND = 0.125
 
+# Outer radius of the exponential tail fit, as a fraction of the window.
+TAIL_FIT_OUTER = 0.9
+
 
 @dataclass(frozen=True)
 class SolutionReport:
@@ -164,7 +167,7 @@ def moment_scan(f: GridFunction, order: float, levels: int = 4) -> MomentReport:
         raise ValueError(f"order must be nonnegative, got {order}")
     if levels < 3:
         raise ValueError(f"levels must be at least 3, got {levels}")
-    if float(f.values.min()) < -1e-12 * float(np.abs(f.values).max(initial=0.0)):
+    if not positivity_check(f).nonnegative:
         raise ValueError("moment_scan requires a nonnegative function")
 
     radii = [f.spec.extent / 2**k for k in range(levels - 1, -1, -1)]
@@ -189,15 +192,16 @@ def moment_scan(f: GridFunction, order: float, levels: int = 4) -> MomentReport:
     )
 
 
-def exp_tail_fit(f: GridFunction, inner: float, outer_fraction: float = 0.9) -> TailFit:
-    """Least-squares slope of log f against |x| on the annulus.
+def exp_tail_fit(f: GridFunction, inner: float) -> TailFit:
+    """Least-squares slope of log f against |x| on the annulus
+    inner <= |x| <= TAIL_FIT_OUTER * extent.
 
     A clearly negative rate with a small fit residual certifies empirical
     exponential decay; power-law profiles show up as a large residual with
     a rate drifting toward zero.  Nonpositive samples in the fit region
     make the log undefined and raise.
     """
-    outer = outer_fraction * f.spec.extent
+    outer = TAIL_FIT_OUTER * f.spec.extent
     if not 0.0 < inner < outer:
         raise ValueError(f"need 0 < inner < {outer}, got inner = {inner}")
     dist = f.spec.radii()
@@ -246,8 +250,6 @@ def critical_moment_theorem_demo(
     critical mass the discarded terms are geometrically suppressed and
     the full window is scanned.
     """
-    if float(u.values.min()) < -1e-12:
-        raise ValueError("residual must be nonnegative")
     flipped = u.values[(slice(None, None, -1),) * u.spec.dim]
     scale = float(np.abs(u.values).max(initial=0.0))
     # Node 0 has no mirror on the half-open window; roll it out of the way.

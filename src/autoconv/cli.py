@@ -4,10 +4,11 @@ Every subcommand writes <out-dir>/<command>_report.json holding a
 deterministic "report" object (command, version, resolved config,
 results) next to a "timestamp" field that is kept outside the report so
 identical configs reproduce it byte for byte.  CSV artifacts carry the
-plot-ready series.  A --config JSON file may supply any flag; each value
-must have the flag's type, and null means the key is absent.  Exit codes:
-0 success or verdict solution, 2 inequality violation, 1 usage or
-numeric error (with a single-line {"error": ...} on stdout).
+plot-ready series.  A --config file holds a JSON object that may supply
+any flag; each value must have the flag's type, and null means the key
+is absent.  Exit codes: 0 success or verdict solution, 2 inequality
+violation, 1 usage or numeric error (with a single-line {"error": ...}
+on stdout).
 """
 
 from __future__ import annotations
@@ -56,11 +57,20 @@ def _grid_spec(cfg) -> grids.GridSpec:
 
 
 def _grid_function(cfg, named) -> grids.GridFunction:
-    """The grid file given by --input, else named(cfg, spec) on the config's grid."""
+    """The grid file given by --input, else named(cfg, spec) on the config's grid.
+
+    A file sets the config's d, L and N to its own grid, so the report
+    echoes what ran; naming a family or residual beside it is an error.
+    """
     path = cfg["input"]
-    if path:
-        return grids.from_json(path) if path.endswith(".json") else grids.from_csv(path)
-    return named(cfg, _grid_spec(cfg))
+    if not path:
+        return named(cfg, _grid_spec(cfg))
+    source = "family" if "family" in cfg else "residual"
+    if cfg[source]:
+        raise CliError(f"--input and --{source} both name the function: give one of them")
+    g = grids.from_json(path) if path.endswith(".json") else grids.from_csv(path)
+    cfg.update(d=int(g.spec.dim), L=float(g.spec.extent), N=int(g.spec.points_per_axis))
+    return g
 
 
 def _family(cfg, spec) -> grids.GridFunction:
@@ -331,7 +341,15 @@ def _resolve_config(args) -> dict:
     file_cfg = {}
     if args.config:
         with open(args.config) as fh:
-            file_cfg = json.load(fh)
+            try:
+                file_cfg = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise CliError(f"config file {args.config} is not valid JSON: {exc}") from None
+        if not isinstance(file_cfg, dict):
+            raise CliError(
+                f"config file {args.config} must hold a JSON object, "
+                f"got {type(file_cfg).__name__}"
+            )
         unknown = set(file_cfg) - set(options)
         if unknown:
             raise CliError(f"unknown config keys for {args.command}: {sorted(unknown)}")

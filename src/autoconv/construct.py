@@ -39,11 +39,6 @@ NEGATIVE_CLAMP = 1e-12
 # Mass tolerance: residual masses up to (1 + MASS_RTOL)/4 are accepted.
 MASS_RTOL = 1e-6
 
-# Magnitude of the k = 0 clamp in the spectral route.  Discretization can
-# push 1 - 4 uhat(0) slightly negative in the critical case; anything
-# below -SPECTRAL_CLAMP means the mass genuinely exceeds 1/4.
-SPECTRAL_CLAMP = 1e-9
-
 # Most terms a series build may sum.  Near the critical mass the tail
 # decays like 1/sqrt(pi N), so a tight target there is refused rather
 # than summed over millions of convolutions.
@@ -88,6 +83,7 @@ def default_epsilon(ratio: float) -> float:
 def _validated_residual(u: GridFunction) -> tuple[GridFunction, float]:
     """The residual with noise-level negatives clamped, and its mass.
 
+    Both construction routes accept exactly the residuals this accepts.
     Raises if a value is negative beyond the noise floor or the mass
     exceeds 1/4 beyond tolerance.
     """
@@ -157,10 +153,7 @@ def build_series(u: GridFunction, epsilon: float | None = None) -> SeriesBuild:
         acc += 0.5 * coeffs[n - 1] * power.values
 
     tl1 = 0.5 * tail_bound(table, n_terms, capped_ratio)
-    if capped_ratio > 0.0:
-        tls = 2.0 * float(u.values.max()) * tail_bound(table, n_terms, capped_ratio) / capped_ratio
-    else:
-        tls = 0.0
+    tls = 4.0 * float(u.values.max()) * tl1 / capped_ratio if capped_ratio > 0.0 else 0.0
     return SeriesBuild(
         residual=u,
         residual_mass=b,
@@ -175,36 +168,23 @@ def build_series(u: GridFunction, epsilon: float | None = None) -> SeriesBuild:
 def build_spectral(u: GridFunction) -> GridFunction:
     """Invert fhat = (1 - sqrt(1 - 4 uhat)) / 2 on the grid.
 
+    The residual contract is the series route's: values down to
+    -NEGATIVE_CLAMP are clamped to zero with a warning, and a mass up to
+    (1 + MASS_RTOL)/4 is built as critical (1 - 4 uhat(0) clamped to 0),
+    just as the series route caps its ratio at 1.  Anything else raises.
+
     The principal branch of the square root is the correct one: for a
-    nonnegative residual, |uhat(k)| <= uhat(0) <= 1/4, so 1 - 4 uhat stays
-    in the closed right half plane and never crosses the cut.  A jump
-    between adjacent frequency samples that looks like a sign flip is
-    therefore an integrity failure and raises instead of being patched.
+    nonnegative residual, |uhat(k)| <= uhat(0) <= 1/4 (up to MASS_RTOL),
+    so 1 - 4 uhat stays in the closed right half plane and never crosses
+    the cut.  A jump between adjacent frequency samples that looks like a
+    sign flip is therefore an integrity failure and raises instead of
+    being patched.
     """
     u, _ = _validated_residual(u)
     spec = u.spec
-    uhat = dft(u).values
+    z = 1.0 - 4.0 * dft(u).values
     center = (spec.points_per_axis // 2,) * spec.dim
-
-    mag = np.abs(uhat)
-    mag_off = mag.copy()
-    mag_off[center] = 0.0
-    worst = float(mag_off.max())
-    if worst > 0.25 + 1e-6:
-        raise ValueError(
-            f"|uhat| reaches {worst:.8f} > 1/4 away from k = 0, a discretization "
-            f"artifact; enlarge the grid window"
-        )
-
-    z = 1.0 - 4.0 * uhat
-    z0 = z[center]
-    if z0.real < 0.0:
-        if z0.real < -SPECTRAL_CLAMP:
-            raise ValueError(
-                f"1 - 4 uhat(0) = {z0.real:.3e} is negative beyond the "
-                f"{SPECTRAL_CLAMP:.0e} clamp; the residual mass exceeds 1/4"
-            )
-        z[center] = 0.0 + 1j * z0.imag
+    z[center] = max(z[center].real, 0.0) + 1j * z[center].imag
 
     root = np.sqrt(z)
     _check_branch_continuity(root, spec)

@@ -85,6 +85,62 @@ def test_construct_from_file_round_trip(tmp_path):
         assert results["verdict"] == "solution"
 
 
+def test_construct_input_inside_mass_tolerance_builds_both_routes(tmp_path, capsys):
+    spec = grids.GridSpec(dim=1, extent=40.0, points_per_axis=1024)
+    raw = grids.sample(spec, families.gaussian_density())
+    mass = 0.25 * (1.0 + 1e-7)
+    u = grids.GridFunction(spec=spec, values=raw.values * (mass / grids.integrate(raw)))
+    grids.to_csv(u, tmp_path / "u.csv")
+    code = main(
+        [
+            "construct", "--input", str(tmp_path / "u.csv"), "--method", "both",
+            "--out-dir", str(tmp_path),
+        ]
+    )
+    assert code == 0, capsys.readouterr().out
+    results = read_report(tmp_path, "construct")["report"]["results"]
+    assert abs(results["spectral_mass"] - 0.5) <= 1e-8
+    assert (tmp_path / "construct_series.csv").exists()
+    assert (tmp_path / "construct_spectral.csv").exists()
+
+
+def _poisson_file(tmp_path):
+    argv = [
+        "family", "--family", "poisson", "--L", "100", "--N", "1024",
+        "--out-dir", str(tmp_path),
+    ]
+    assert main(argv) == 0
+    return str(tmp_path / "family.csv")
+
+
+def test_input_sets_the_echoed_grid(tmp_path):
+    path = _poisson_file(tmp_path)
+    argv = ["verify", "--input", path, "--N", "64", "--L", "3", "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    cfg = read_report(tmp_path, "verify")["report"]["config"]
+    assert (cfg["d"], cfg["L"], cfg["N"]) == (1, 100.0, 1024)
+
+
+@pytest.mark.parametrize(
+    "command,flag,name",
+    [
+        ("family", "--family", "sinc"),
+        ("verify", "--family", "sinc"),
+        ("moments", "--family", "sinc"),
+        ("construct", "--residual", "bump"),
+    ],
+)
+def test_input_with_family_rejected(tmp_path, capsys, command, flag, name):
+    path = _poisson_file(tmp_path)
+    capsys.readouterr()
+    argv = [command, "--input", path, flag, name, "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 1
+    out = capsys.readouterr().out.strip()
+    assert len(out.splitlines()) == 1
+    assert flag in json.loads(out)["error"]
+    assert not list((tmp_path / "out").glob("*.csv"))
+
+
 def test_moments_growing(tmp_path):
     code = main(
         [
@@ -255,6 +311,27 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert code == 1
     err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert "frequency" in err["error"]
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("[]", "must hold a JSON object"),
+        ("5", "must hold a JSON object"),
+        ('"abc"', "must hold a JSON object"),
+        ("{bad", "is not valid JSON"),
+    ],
+)
+def test_config_file_must_hold_a_json_object(tmp_path, capsys, text, message):
+    config = tmp_path / "cfg.json"
+    config.write_text(text)
+    code = main(["coeffs", "--config", str(config), "--out-dir", str(tmp_path)])
+    assert code == 1
+    out = capsys.readouterr().out.strip()
+    assert len(out.splitlines()) == 1
+    error = json.loads(out)["error"]
+    assert f"config file {config} {message}" in error
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_numeric_error_is_single_line_json(tmp_path, capsys):

@@ -121,8 +121,9 @@ class TestBuildSeries:
             build_series(GridFunction(spec=u.spec, values=dipped))
 
     def test_supercritical_mass_rejected(self):
-        with pytest.raises(ValueError, match="1/4"):
-            build_series(gaussian_residual(0.26))
+        for mass in (0.26, 0.25 * (1.0 + 2e-6)):
+            with pytest.raises(ValueError, match="1/4"):
+                build_series(gaussian_residual(mass))
 
     def test_term_cap_reports_achievable_tail(self):
         with pytest.raises(ValueError, match="achievable tail"):
@@ -186,8 +187,17 @@ class TestBuildSpectral:
         assert err <= 0.02
 
     def test_supercritical_mass_rejected(self):
-        with pytest.raises(ValueError, match="1/4"):
-            build_spectral(gaussian_residual(0.26))
+        for mass in (0.26, 0.25 * (1.0 + 2e-6)):
+            with pytest.raises(ValueError, match="1/4"):
+                build_spectral(gaussian_residual(mass))
+
+    def test_mass_inside_tolerance_built_as_critical(self):
+        # Both routes share one residual contract: a mass above 1/4 by
+        # less than MASS_RTOL is built as the critical solution.
+        u = gaussian_residual(0.25 * (1.0 + 1e-7))
+        series, spectral = build_series(u), build_spectral(u)
+        assert integrate(spectral) == pytest.approx(0.5, abs=1e-8)
+        assert crosscheck(series, spectral) <= series.tail_l1 + 1e-3
 
 
 class TestCrosscheck:
