@@ -26,6 +26,9 @@ BOUNDARY_BAND = 0.125
 # Outer radius of the exponential tail fit, as a fraction of the window.
 TAIL_FIT_OUTER = 0.9
 
+# Moment orders scanned by critical_moment_theorem_demo.
+DEMO_ORDERS = (0.5, 1.0, 2.0)
+
 
 @dataclass(frozen=True)
 class SolutionReport:
@@ -110,8 +113,8 @@ def scan_residual(
     """
     if tolerance is None:
         tolerance = 1e-6 * float(np.abs(f.values).max(initial=0.0)) + 1e-12
-    if not tolerance > 0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    if not 0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
     if residual.spec != f.spec:
         raise ValueError("grid specs do not match")
 
@@ -163,8 +166,8 @@ def moment_scan(f: GridFunction, order: float, levels: int = 4) -> MomentReport:
     geometrically.  A diverging-moment verdict on a finite grid is a
     growth signature, never a proof.
     """
-    if order < 0:
-        raise ValueError(f"order must be nonnegative, got {order}")
+    if not 0 <= order < math.inf:
+        raise ValueError(f"order must be finite and nonnegative, got {order}")
     if levels < 3:
         raise ValueError(f"levels must be at least 3, got {levels}")
     if not positivity_check(f).nonnegative:
@@ -233,9 +236,8 @@ def critical_moment_theorem_demo(
     u: GridFunction,
     levels: int = 4,
     epsilon: float | None = None,
-    orders: tuple[float, ...] = (0.5, 1.0, 2.0),
 ) -> MomentDemo:
-    """Build from a symmetric residual and scan several moment orders.
+    """Build from a symmetric residual and scan the DEMO_ORDERS moments.
 
     The residual must be even (its sampled values symmetric under x -> -x
     within 1e-10 relative), which is the grid form of the zero-mean
@@ -271,6 +273,6 @@ def critical_moment_theorem_demo(
             scan_target = restrict(build.solution, extent)
 
     reports = {
-        order: moment_scan(scan_target, order, levels=levels) for order in orders
+        order: moment_scan(scan_target, order, levels=levels) for order in DEMO_ORDERS
     }
     return MomentDemo(build=build, regime=regime, reports=reports)

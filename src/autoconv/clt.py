@@ -2,12 +2,12 @@
 
 For a probability density w, the density of n^{-1/2} (X_1 + ... + X_n) is
 computed by the characteristic-function power method: evaluate the
-transform of w at the output frequencies scaled by 1/sqrt(n) (one
+transform of w at its own grid's frequencies scaled by 1/sqrt(n) (one
 chirp-z transform per axis, for every n), raise to the n-th power,
-invert.  With finite variance the mass in a fixed ball tends to the
-Gaussian ball mass; with infinite variance it drains to zero, which a
-mandatory Monte Carlo cross-check confirms independently of the grid
-(window truncation alone would fake a finite variance).
+invert on the same grid.  With finite variance the mass in a fixed ball
+tends to the Gaussian ball mass; with infinite variance it drains to
+zero, which a mandatory Monte Carlo cross-check confirms independently
+of the grid (window truncation alone would fake a finite variance).
 """
 
 from __future__ import annotations
@@ -46,32 +46,32 @@ class CltResult:
     notes: tuple[str, ...]
 
 
-def _charfun_on_scaled_lattice(w: GridFunction, out_spec: GridSpec, n: int) -> np.ndarray:
-    """h^d sum_j w_j exp(-i 2 pi (k/sqrt(n)) . x_j) at out-grid frequencies.
+def _charfun_on_scaled_lattice(w: GridFunction, n: int) -> np.ndarray:
+    """h^d sum_j w_j exp(-i 2 pi (k_m/sqrt(n)) . x_j) at the grid's own frequencies.
 
-    In centered indices x_j = h j and k_m/sqrt(n) = m/(2 L_out sqrt(n)), so
-    each axis sums exp(-i 2 pi a m j) with a = h/(2 L_out sqrt(n)).  As
+    In centered indices x_j = h j and k_m/sqrt(n) = m/(2 L sqrt(n)), so
+    each axis sums exp(-i 2 pi a m j) with a = h/(2 L sqrt(n)).  As
     m j = (m^2 + j^2 - (m-j)^2)/2, that sum is a linear convolution with
-    the chirp exp(i pi a t^2), taken by FFTs of length >= N + M - 1: one
-    chirp-z transform (Bluestein) per axis, for every n and any windows.
+    the chirp exp(i pi a t^2), taken by FFTs of length >= 2N - 1 between
+    two multiplications by the one array exp(-i pi a j^2): one chirp-z
+    transform (Bluestein) per axis, for every n.
     """
-    src = w.spec
-    n_src, n_out = src.points_per_axis, out_spec.points_per_axis
-    a = src.spacing / (2.0 * out_spec.extent * math.sqrt(n))
-    t = np.arange(1 - n_src, n_out, dtype=float) + (n_src // 2 - n_out // 2)  # all m - j
-    size = 1 << (n_src + n_out - 2).bit_length()
+    spec = w.spec
+    points = spec.points_per_axis
+    a = spec.spacing / (2.0 * spec.extent * math.sqrt(n))
+    t = np.arange(1 - points, points, dtype=float)  # all m - j
+    size = 1 << (2 * points - 2).bit_length()
     chirp_hat = np.fft.fft(np.exp(1j * np.pi * a * t**2), size)
-    pre = np.exp(-1j * np.pi * a * (np.arange(n_src) - n_src // 2) ** 2.0)
-    post = np.exp(-1j * np.pi * a * (np.arange(n_out) - n_out // 2) ** 2.0)
+    twist = np.exp(-1j * np.pi * a * (np.arange(points) - points // 2) ** 2.0)
     values = w.values.astype(np.complex128)
-    for axis in range(src.dim):
-        moved = np.fft.ifft(np.fft.fft(np.moveaxis(values, axis, -1) * pre, size) * chirp_hat)
-        values = np.moveaxis(moved[..., n_src - 1 : n_src - 1 + n_out] * post, -1, axis)
-    return values * src.cell_volume
+    for axis in range(spec.dim):
+        moved = np.fft.ifft(np.fft.fft(np.moveaxis(values, axis, -1) * twist, size) * chirp_hat)
+        values = np.moveaxis(moved[..., points - 1 : 2 * points - 1] * twist, -1, axis)
+    return values * spec.cell_volume
 
 
-def rescaled_density(w: GridFunction, n: int, out_spec: GridSpec) -> GridFunction:
-    """Density of the normalized n-fold sum on the output grid.
+def rescaled_density(w: GridFunction, n: int) -> GridFunction:
+    """Density of the normalized n-fold sum, on the grid of w.
 
     The transform value is raised to the n-th power through log-magnitude
     arithmetic, so deep underflow flushes cleanly to zero instead of
@@ -81,13 +81,11 @@ def rescaled_density(w: GridFunction, n: int, out_spec: GridSpec) -> GridFunctio
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    if out_spec.dim != w.spec.dim:
-        raise ValueError("output grid dimension does not match the density")
     mass = integrate(w)
     if abs(mass - 1.0) > 1e-4:
         raise ValueError(f"input must be a probability density; mass = {mass:.6f}")
 
-    chat = _charfun_on_scaled_lattice(w, out_spec, n)
+    chat = _charfun_on_scaled_lattice(w, n)
     if n == 1:
         powered = chat
     else:
@@ -97,7 +95,7 @@ def rescaled_density(w: GridFunction, n: int, out_spec: GridSpec) -> GridFunctio
         with np.errstate(under="ignore"):
             powered = np.exp(n * log_mag) * np.exp(1j * n * np.angle(chat))
 
-    out = idft(Spectrum(spec=out_spec, values=powered), allow_complex=True)
+    out = idft(Spectrum(spec=w.spec, values=powered), allow_complex=True)
     density = out.real
     low = float(density.min())
     if low < -DENSITY_CLAMP:
@@ -106,7 +104,7 @@ def rescaled_density(w: GridFunction, n: int, out_spec: GridSpec) -> GridFunctio
             stacklevel=2,
         )
     density = np.maximum(density, 0.0)
-    result = GridFunction(spec=out_spec, values=density)
+    result = GridFunction(spec=w.spec, values=density)
     out_mass = integrate(result)
     if abs(out_mass - 1.0) > MASS_WARN:
         warnings.warn(
@@ -200,7 +198,7 @@ def run_experiments(
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for n in n_list:
-            dens = rescaled_density(density, int(n), spec)
+            dens = rescaled_density(density, n)
             for values, radius in zip(p_values, radii):
                 values.append(ball_mass(dens, radius))
             phi_values.append(phi_functional(dens))

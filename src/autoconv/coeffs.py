@@ -100,25 +100,20 @@ def tail_bound(table: CoeffTable, n_terms: int, ratio: float) -> float:
 def terms_for_tail(table: CoeffTable, ratio: float, bound: float) -> int | None:
     """Smallest N with tail_bound(table, N, ratio) <= bound, or None.
 
-    Scans the whole table vectorized; None means that no N < n_max
-    reaches the bound.
+    Both majorants in tail_bound shrink as N grows, so a bisection over
+    1 <= N < n_max finds it; None means that no N < n_max reaches the
+    bound.
     """
-    if not 0.0 <= ratio <= 1.0:
-        raise ValueError(f"ratio must lie in [0, 1], got {ratio}")
-    if ratio == 0.0:
-        return 1
-    n = np.arange(1, table.n_max)
-    tails = 1.0 - table.partial_sums[:-1]
-    if ratio < 1.0:
-        with np.errstate(under="ignore"):
-            tails = np.minimum(
-                tails, table.values[1:] * ratio ** (n + 1) / (1.0 - ratio)
-            )
-    ok = tails <= bound
-    idx = int(np.argmax(ok))
-    if not ok[idx]:
+    lo, hi = 1, table.n_max - 1
+    if not tail_bound(table, hi, ratio) <= bound:
         return None
-    return idx + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if tail_bound(table, mid, ratio) <= bound:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def dump_csv(table: CoeffTable, path) -> None:

@@ -15,6 +15,7 @@ diagnostic and is exercised by crosscheck.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -44,14 +45,17 @@ MASS_RTOL = 1e-6
 # than summed over millions of convolutions.
 TERM_CAP = 100_000
 
-_coeff_cache: list[CoeffTable] = []
+# One factor per axis for each bump profile; the bump is their product.
+_BUMP_PROFILES = {
+    "indicator": lambda c: np.abs(c) <= 1.0,
+    "cosine": lambda c: np.where(np.abs(c) <= 1.0, 1.0 + np.cos(np.pi * c), 0.0),
+}
 
 
+@functools.cache
 def _coeff_table() -> CoeffTable:
     """c_1..c_{TERM_CAP+1}, built on first use and shared by every build."""
-    if not _coeff_cache:
-        _coeff_cache.append(build_coeffs(TERM_CAP + 1))
-    return _coeff_cache[0]
+    return build_coeffs(TERM_CAP + 1)
 
 
 @dataclass(frozen=True)
@@ -231,25 +235,15 @@ def bump_residual(spec: GridSpec, mass: float, profile: str = "indicator") -> Gr
     profile "indicator" is flat; "cosine" is the smooth 1 + cos(pi x)
     taper.  Values are rescaled so the Riemann sum equals mass exactly.
     """
-    if profile == "indicator":
-
-        def evaluator(*coords):
-            inside = np.ones_like(np.asarray(coords[0]), dtype=np.float64)
-            for c in coords:
-                inside = inside * (np.abs(np.asarray(c)) <= 1.0)
-            return inside
-
-    elif profile == "cosine":
-
-        def evaluator(*coords):
-            out = np.ones_like(np.asarray(coords[0]), dtype=np.float64)
-            for c in coords:
-                c = np.asarray(c)
-                out = out * np.where(np.abs(c) <= 1.0, 1.0 + np.cos(np.pi * c), 0.0)
-            return out
-
-    else:
+    axis_profile = _BUMP_PROFILES.get(profile)
+    if axis_profile is None:
         raise ValueError(f"unknown bump profile {profile!r}")
+
+    def evaluator(*coords):
+        out = np.ones_like(np.asarray(coords[0]), dtype=np.float64)
+        for c in coords:
+            out = out * axis_profile(np.asarray(c))
+        return out
 
     raw = sample(spec, evaluator)
     total = integrate(raw)

@@ -98,8 +98,8 @@ def sinc_counterexample(params: SincParams):
 
 def gaussian_density(sigma: float = 1.0):
     """Centered Gaussian probability density evaluator (any dimension)."""
-    if not sigma > 0:
-        raise ValueError("sigma must be strictly positive")
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"sigma must be finite and strictly positive, got {sigma}")
 
     def evaluator(*coords):
         r2 = sum(np.asarray(c) ** 2 for c in coords)
@@ -120,8 +120,8 @@ def reverse_example(spec: GridSpec, a: float, delta: float) -> GridFunction:
     """
     if spec.dim != 1:
         raise ValueError("reverse_example is one-dimensional")
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
+    if not 0 <= delta < math.inf:
+        raise ValueError(f"delta must be finite and nonnegative, got {delta}")
     g = sample(spec, gaussian_density())
     values = a * g.values
     if delta > 0:

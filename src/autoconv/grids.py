@@ -46,10 +46,14 @@ class GridSpec:
     points_per_axis: int
 
     def __post_init__(self):
+        for name in ("dim", "points_per_axis"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.dim not in (1, 2, 3):
             raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
-        if not self.extent > 0:
-            raise ValueError(f"extent must be positive, got {self.extent}")
+        if isinstance(self.extent, bool) or not 0 < self.extent < math.inf:
+            raise ValueError(f"extent must be finite and positive, got {self.extent}")
         n = self.points_per_axis
         if n < 8 or (n & (n - 1)) != 0:
             raise ValueError(f"points_per_axis must be a power of two >= 8, got {n}")
@@ -148,8 +152,8 @@ def moment(g: GridFunction, order: float) -> float:
 
     order = 0 reproduces integrate (0^0 evaluates to 1).
     """
-    if order < 0:
-        raise ValueError(f"order must be nonnegative, got {order}")
+    if not 0 <= order < math.inf:
+        raise ValueError(f"order must be finite and nonnegative, got {order}")
     return float(np.sum(g.spec.radii() ** order * g.values) * g.spec.cell_volume)
 
 

@@ -68,8 +68,10 @@ class TestVerify:
         assert err <= build.tail_l1 + 1e-3
 
     def test_tolerance_validation(self):
-        with pytest.raises(ValueError):
-            verify(poisson_sample(0.5, L=50.0, N=2**10), tolerance=0.0)
+        f = poisson_sample(0.5, L=50.0, N=2**10)
+        for tolerance in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive"):
+                verify(f, tolerance=tolerance)
 
     def test_scan_of_given_residual_is_verify(self):
         f = poisson_sample(0.6, L=50.0, N=2**10)
@@ -137,8 +139,9 @@ class TestMomentScan:
 
     def test_validation(self):
         f = poisson_sample(0.5, L=50.0, N=2**10)
-        with pytest.raises(ValueError):
-            moment_scan(f, -1.0)
+        for order in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="nonnegative"):
+                moment_scan(f, order)
         with pytest.raises(ValueError):
             moment_scan(f, 1.0, levels=2)
         spec = GridSpec(dim=1, extent=16.0, points_per_axis=2**10)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -202,9 +203,9 @@ def test_clt_density_once_per_n(tmp_path, monkeypatch):
     seen = []
     original = clt.rescaled_density
 
-    def counting(w, n, out_spec):
+    def counting(w, n):
         seen.append(n)
-        return original(w, n, out_spec)
+        return original(w, n)
 
     monkeypatch.setattr(clt, "rescaled_density", counting)
     code = main(
@@ -538,3 +539,83 @@ def test_unknown_construct_method_rejected(tmp_path, capsys):
     assert len(out.splitlines()) == 1
     assert "bogus" in json.loads(out)["error"]
     assert not list(tmp_path.glob("*"))
+
+
+def _grid_header_file(tmp_path, **header):
+    doc = {"dim": 1, "extent": 4.0, "points_per_axis": 8, "values": [0.1] * 8, **header}
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv,name",
+    [
+        (["moments", "--family", "poisson", "--p", "nan", "--N", "1024"], "order"),
+        (["moments", "--family", "poisson", "--p", "inf", "--N", "1024"], "order"),
+        (
+            ["verify", "--family", "poisson", "--a", "0.6", "--N", "1024", "--tolerance", "inf"],
+            "tolerance",
+        ),
+        (["family", "--family", "gaussian", "--sigma", "inf"], "sigma"),
+        (["family", "--family", "reverse", "--a", "2", "--delta", "nan"], "delta"),
+        (["verify", "--family", "poisson", "--L", "inf", "--N", "1024"], "extent"),
+        (["verify", "--input", {"points_per_axis": 16.0}], "points_per_axis"),
+        (["verify", "--input", {"dim": True}], "dim"),
+    ],
+)
+def test_non_finite_or_mistyped_parameter_rejected(tmp_path, capsys, argv, name):
+    argv = [_grid_header_file(tmp_path, **a) if isinstance(a, dict) else a for a in argv]
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 1
+    out = capsys.readouterr().out.strip()
+    assert len(out.splitlines()) == 1
+    assert name in json.loads(out)["error"]
+    assert not list((tmp_path / "out").glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "name,evaluator",
+    [
+        ("poisson", families.poisson(families.PoissonParams(a=0.4, t=0.5))),
+        ("poisson_margin", families.poisson_inequality_margin(0.4, 0.5)),
+        ("sinc", families.sinc_counterexample(families.SincParams(a=0.4))),
+        ("heavy_tail", families.heavy_tail_density()),
+        ("gaussian", families.gaussian_density(sigma=1.5)),
+        ("reverse", None),
+    ],
+)
+def test_family_writes_the_library_function(tmp_path, name, evaluator):
+    argv = [
+        "family", "--family", name, "--a", "0.4", "--t", "0.5", "--sigma", "1.5",
+        "--delta", "0.5", "--L", "8", "--N", "256", "--out-dir", str(tmp_path),
+    ]
+    assert main(argv) == 0
+    spec = grids.GridSpec(dim=1, extent=8.0, points_per_axis=256)
+    if evaluator is None:
+        want = families.reverse_example(spec, a=0.4, delta=0.5)
+    else:
+        want = grids.sample(spec, evaluator)
+    got = grids.from_json(str(tmp_path / "family.json"))
+    assert got.spec == spec
+    np.testing.assert_array_equal(got.values, want.values)
+    results = read_report(tmp_path, "family")["report"]["results"]
+    assert results["family"] == name
+    assert results["mass"] == grids.integrate(want)
+
+
+@pytest.mark.parametrize("residual", ["gaussian", "bump", "poisson_margin"])
+def test_construct_spectral_only(tmp_path, residual):
+    argv = [
+        "construct", "--residual", residual, "--method", "spectral", "--mass", "0.2",
+        "--a", "0.4", "--L", "16", "--N", "512", "--out-dir", str(tmp_path),
+    ]
+    assert main(argv) == 0
+    results = read_report(tmp_path, "construct")["report"]["results"]
+    assert set(results) == {"residual_mass", "spectral_mass"}
+    # the masses a of f and b of u obey (a - 1/2)^2 = 1/4 - b
+    b = results["residual_mass"]
+    assert results["spectral_mass"] == pytest.approx(0.5 - math.sqrt(0.25 - b), abs=1e-12)
+    if residual != "poisson_margin":
+        assert b == pytest.approx(0.2, abs=1e-12)
+    assert (tmp_path / "construct_spectral.csv").exists()
+    assert not (tmp_path / "construct_series.csv").exists()

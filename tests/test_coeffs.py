@@ -137,10 +137,17 @@ def test_tail_bound_n_range(big_table, bad_n):
 
 
 def test_terms_for_tail_minimal(big_table):
-    n = terms_for_tail(big_table, 0.5, 1e-6)
-    assert tail_bound(big_table, n, 0.5) <= 1e-6
-    assert n == 1 or tail_bound(big_table, n - 1, 0.5) > 1e-6
+    for ratio in (0.0, 0.5, 0.75, 0.999, 1.0 - 2.0**-52, 1.0):
+        for bound in (1e-3, 1e-6):
+            n = terms_for_tail(big_table, ratio, bound)
+            if n is None:
+                assert tail_bound(big_table, big_table.n_max - 1, ratio) > bound
+                continue
+            assert tail_bound(big_table, n, ratio) <= bound
+            assert n == 1 or tail_bound(big_table, n - 1, ratio) > bound
     assert terms_for_tail(big_table, 0.0, 1e-12) == 1
+    # the critical tail 1 - S_N ~ 1/sqrt(pi N) reaches 1e-3 near N = 318,000
+    assert 300_000 < terms_for_tail(big_table, 1.0, 1e-3) < 330_000
 
 
 def test_terms_for_tail_table_too_short():

@@ -104,8 +104,9 @@ class TestGaussianDensity:
         assert integrate(g) == pytest.approx(1.0, abs=1e-9)
 
     def test_invalid_sigma(self):
-        with pytest.raises(ValueError):
-            gaussian_density(sigma=0.0)
+        for sigma in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive"):
+                gaussian_density(sigma=sigma)
 
 
 class TestReverseExample:
@@ -135,8 +136,9 @@ class TestReverseExample:
     def test_dimension_and_delta_validation(self):
         with pytest.raises(ValueError):
             reverse_example(GridSpec(dim=2, extent=8.0, points_per_axis=64), 2.0, 0.0)
-        with pytest.raises(ValueError):
-            reverse_example(self.spec(), 2.0, -0.1)
+        for delta in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="nonnegative"):
+                reverse_example(self.spec(), 2.0, delta)
 
 
 class TestHeavyTail:

@@ -42,11 +42,20 @@ class TestGridSpec:
             dict(dim=1, extent=0.0, points_per_axis=16),
             dict(dim=1, extent=1.0, points_per_axis=24),
             dict(dim=1, extent=1.0, points_per_axis=4),
+            dict(dim=1, extent=math.inf, points_per_axis=16),
+            dict(dim=1, extent=math.nan, points_per_axis=16),
+            dict(dim=1, extent=1.0, points_per_axis=16.0),
+            dict(dim=True, extent=1.0, points_per_axis=16),
+            dict(dim=1.0, extent=1.0, points_per_axis=16),
         ],
     )
     def test_invalid(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="dim|extent|points_per_axis"):
             GridSpec(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        spec = GridSpec(dim=np.int64(2), extent=1.0, points_per_axis=np.int32(16))
+        assert spec.shape == (16, 16)
 
     def test_nodes_contain_origin(self):
         spec = spec1(N=64)
@@ -122,8 +131,15 @@ class TestIntegrateAndMoment:
         assert increment == pytest.approx(math.log(2.0) / math.pi, rel=0.01)
 
     def test_negative_order_rejected(self, gauss):
-        with pytest.raises(ValueError):
-            moment(gauss, -1.0)
+        for order in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="nonnegative"):
+                moment(gauss, order)
+
+    def test_two_dimensional_gaussian_second_moment(self):
+        # E|X|^2 = d for the standard Gaussian
+        spec = GridSpec(dim=2, extent=8.0, points_per_axis=512)
+        g = sample(spec, families.gaussian_density())
+        assert moment(g, 2.0) == pytest.approx(2.0, abs=1e-10)
 
 
 def direct_convolution(g1, g2):
