@@ -97,6 +97,8 @@ def _family(cfg, spec) -> grids.GridFunction:
 def _residual(cfg, spec) -> grids.GridFunction:
     name = cfg["residual"]
     if name == "gaussian":
+        if not 0 <= cfg["mass"] < math.inf:
+            raise CliError(f"mass must be finite and nonnegative, got {cfg['mass']}")
         raw = grids.sample(spec, families.gaussian_density(sigma=cfg["sigma"]))
         scale = cfg["mass"] / grids.integrate(raw)
         return grids.GridFunction(spec=spec, values=raw.values * scale)

@@ -16,6 +16,7 @@ diagnostic and is exercised by crosscheck.
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -68,6 +69,7 @@ class SeriesBuild:
     n_terms: int
     tail_l1: float
     tail_sup: float
+    clamped_l1: float  # L^1 mass the per-term clamp removed from the powers
     solution: GridFunction
 
 
@@ -118,22 +120,27 @@ def build_series(u: GridFunction, epsilon: float | None = None) -> SeriesBuild:
     Powers are computed incrementally, one linear convolution per term, on
     the scaled residual 4u so every intermediate has mass ratio^n <= 1 and
     nothing overflows.  One ConvolutionPlan caches the transform of 4u, so
-    each term costs one forward and one inverse real transform.
-    Truncation stops at the smallest N whose certified tail is at most
-    epsilon (default by regime, see default_epsilon).
+    each term costs one forward and one inverse real transform; the loop
+    works on the plan's bare window arrays and scales, clamps and
+    accumulates them in place.  Truncation stops at the smallest N whose
+    certified tail is at most epsilon (default by regime, see
+    default_epsilon).  clamped_l1 records the mass the clamp of FFT dust
+    removed from the powers.
 
-    Raises if the residual mass exceeds 1/4 beyond tolerance, or if the
-    target would need more than TERM_CAP terms (which only happens near
-    the critical mass with a tiny epsilon); the error reports the bound
-    that was achievable.
+    Raises if the residual mass exceeds 1/4 beyond tolerance, if epsilon
+    is not finite and positive, or if the target would need more than
+    TERM_CAP terms (which only happens near the critical mass with a tiny
+    epsilon); the error reports the bound that was achievable.  A term
+    whose clamp removes more than the plan's mass tolerance raises
+    RuntimeError, as a failed mass guard does.
     """
     u, b = _validated_residual(u)
     ratio = 4.0 * b
     capped_ratio = min(ratio, 1.0)
     if epsilon is None:
         epsilon = default_epsilon(capped_ratio)
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
 
     table = _coeff_table()
     n_terms = terms_for_tail(table, capped_ratio, 2.0 * epsilon)
@@ -145,16 +152,31 @@ def build_series(u: GridFunction, epsilon: float | None = None) -> SeriesBuild:
         )
 
     coeffs = table.values
+    h_d = u.spec.cell_volume
     scaled = GridFunction(spec=u.spec, values=4.0 * u.values)
     times_scaled = ConvolutionPlan(scaled)
-    power = scaled
-    acc = 0.5 * coeffs[0] * power.values
+    power = scaled.values
+    power_sum = float(power.sum())
+    acc = 0.5 * coeffs[0] * power
+    clamped = 0.0
     for n in range(2, n_terms + 1):
+        # Powers are nonnegative, so sum|power| is power_sum.
+        raw = times_scaled.window(power, power_sum, power_sum)
+        raw_sum = float(raw.sum())
         # Convolution powers of a nonnegative density are nonnegative;
         # FFT dust of order 1e-16 would otherwise leak sign noise into f.
-        raw = times_scaled(power)
-        power = GridFunction(spec=u.spec, values=np.maximum(raw.values, 0.0))
-        acc += 0.5 * coeffs[n - 1] * power.values
+        np.maximum(raw, 0.0, out=raw)
+        kept_sum = float(raw.sum())
+        clamp, bound = kept_sum - raw_sum, times_scaled.tolerance(power_sum)
+        if clamp > bound:
+            raise RuntimeError(
+                f"term {n} clamps {clamp:.3e} of negative raw mass, more than the "
+                f"convolution's mass tolerance {bound:.3e}"
+            )
+        clamped += clamp
+        raw *= h_d
+        power, power_sum = raw, kept_sum * h_d
+        acc += 0.5 * coeffs[n - 1] * power
 
     tl1 = 0.5 * tail_bound(table, n_terms, capped_ratio)
     tls = 4.0 * float(u.values.max()) * tl1 / capped_ratio if capped_ratio > 0.0 else 0.0
@@ -165,6 +187,8 @@ def build_series(u: GridFunction, epsilon: float | None = None) -> SeriesBuild:
         n_terms=n_terms,
         tail_l1=tl1,
         tail_sup=tls,
+        # Raw sums scale by h^d into power values and by h^d again into mass.
+        clamped_l1=clamped * h_d * h_d,
         solution=GridFunction(spec=u.spec, values=acc),
     )
 
@@ -233,8 +257,11 @@ def bump_residual(spec: GridSpec, mass: float, profile: str = "indicator") -> Gr
     """Nonnegative residual supported in [-1, 1]^d with exact grid mass.
 
     profile "indicator" is flat; "cosine" is the smooth 1 + cos(pi x)
-    taper.  Values are rescaled so the Riemann sum equals mass exactly.
+    taper.  Values are rescaled so the Riemann sum equals mass exactly,
+    which must be finite and nonnegative.
     """
+    if not 0 <= mass < math.inf:
+        raise ValueError(f"mass must be finite and nonnegative, got {mass}")
     axis_profile = _BUMP_PROFILES.get(profile)
     if axis_profile is None:
         raise ValueError(f"unknown bump profile {profile!r}")

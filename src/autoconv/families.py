@@ -23,15 +23,17 @@ _HALF_GAMMA = {1: 1.0, 2: math.sqrt(math.pi) / 2.0, 3: 1.0}
 
 @dataclass(frozen=True)
 class PoissonParams:
-    """Mass and length scale of the kernel f_{a,t}; both strictly positive."""
+    """Mass and length scale of the kernel f_{a,t}; both finite and positive."""
 
     a: float
     t: float
     d: int = 1
 
     def __post_init__(self):
-        if not (self.a > 0 and self.t > 0):
-            raise ValueError("a and t must be strictly positive")
+        for name in ("a", "t"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and strictly positive, got {value}")
         if self.d not in (1, 2, 3):
             raise ValueError(f"d must be 1, 2 or 3, got {self.d}")
 
@@ -43,8 +45,8 @@ class SincParams:
     a: float
 
     def __post_init__(self):
-        if not self.a > 0:
-            raise ValueError("a must be strictly positive")
+        if not 0 < self.a < math.inf:
+            raise ValueError(f"a must be finite and strictly positive, got {self.a}")
 
 
 def poisson(params: PoissonParams):

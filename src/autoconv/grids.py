@@ -7,13 +7,16 @@ discrete transform approximates the continuous one under the convention
     fhat(k) = integral f(x) exp(-i 2 pi k . x) dx
 
 with frequencies k_m = m / (2L), m = -N/2 .. N/2 - 1 per axis.  Convolution
-is linear (zero padded to 2N per axis), never circular: wrap-around would
-corrupt every tail diagnostic downstream.  A ConvolutionPlan caches the
-padded real transform (rfftn) of one fixed factor, so each further
-convolution with it costs one forward and one inverse real transform;
-the inverse of a real-input product is real by construction, and a mass
-identity on the full padded product guards it in place of an
-imaginary-residue check.
+is linear on the window, never circular there: wrap-around would corrupt
+every tail diagnostic downstream.  Both factors are zero padded to the
+circular size M = 3N/2 per axis, the smallest that leaves the kept window
+[N/2, 3N/2) of the linear product unaliased: a linear index r + M shares
+slot r, and r + M <= 2N - 2 forces r <= N/2 - 2, below the window.  A
+ConvolutionPlan caches the padded real transform (rfftn) of one fixed
+factor, so each further convolution with it costs one forward and one
+inverse real transform; the inverse of a real-input product is real by
+construction, and a mass identity on the full circular product guards it
+in place of an imaginary-residue check.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 # Relative ceiling, in units of sum|f| sum|g|, on the gap between the sum of
-# a full padded linear convolution and sum(f) sum(g); anything larger
+# a full padded circular convolution and sum(f) sum(g); anything larger
 # signals an FFT defect.
 CONV_MASS_RTOL = 1e-9
 # Relative ceiling on the imaginary residue of an inverse transform whose
@@ -160,56 +163,80 @@ def moment(g: GridFunction, order: float) -> float:
 class ConvolutionPlan:
     """Linear convolution with one fixed factor, its transform cached.
 
-    The kernel is zero padded to 2N per axis and its real transform
+    The kernel is zero padded to 3N/2 per axis and its real transform
     (rfftn) is computed once.  Each call then costs one rfftn of the other
     factor and one irfftn, followed by the window slice and the h^d scale;
     a call on the kernel itself reuses the cached transform, so f*f needs a
-    single forward transform.
+    single forward transform.  The circular product at 3N/2 equals the
+    linear one on the kept window [N/2, 3N/2): only full indices
+    r <= N/2 - 2 wrap, and they land below it.
 
-    Before windowing, the sum of the full padded product must equal
-    sum(kernel) sum(g) (raw values, no h^d) within CONV_MASS_RTOL of
-    sum|kernel| sum|g|; a larger gap raises RuntimeError.
+    Before windowing, the sum of the full circular product must equal
+    sum(kernel) sum(g) (raw values, no h^d) within tolerance(sum|g|); a
+    larger gap, or a non-finite one, raises RuntimeError.
     """
 
     def __init__(self, kernel: GridFunction):
         spec = kernel.spec
         n = spec.points_per_axis
         self.kernel = kernel
-        self._padded = (2 * n,) * spec.dim
+        self._padded = (3 * n // 2,) * spec.dim
         self._axes = tuple(range(spec.dim))
-        self._window = (slice(n // 2, n // 2 + n),) * spec.dim
+        self._keep = (slice(n // 2, None),) * spec.dim
         self._kernel_hat = np.fft.rfftn(kernel.values, s=self._padded, axes=self._axes)
         self._kernel_sum = float(kernel.values.sum())
         self._kernel_abs = float(np.abs(kernel.values).sum())
+
+    def tolerance(self, g_abs: float) -> float:
+        """The mass guard's ceiling for a factor with raw sum|g| = g_abs."""
+        return CONV_MASS_RTOL * self._kernel_abs * g_abs
+
+    def window(self, values: np.ndarray, g_sum: float, g_abs: float) -> np.ndarray:
+        """Raw window sums (no h^d) of the kernel convolved with values.
+
+        values holds one factor on the kernel's grid, with g_sum and g_abs
+        its sum and absolute sum; the kernel's own values array reuses the
+        cached transform.  The result is a writable view into a fresh
+        array, so callers may scale or clamp it in place.
+        """
+        if values.shape != self.kernel.spec.shape:
+            raise ValueError("grid specs do not match")
+        if values is self.kernel.values:
+            g_hat = self._kernel_hat
+        else:
+            g_hat = np.fft.rfftn(values, s=self._padded, axes=self._axes)
+        full = np.fft.irfftn(self._kernel_hat * g_hat, s=self._padded, axes=self._axes)
+        gap = abs(float(full.sum()) - self._kernel_sum * g_sum)
+        bound = self.tolerance(g_abs)
+        if not gap <= bound:
+            raise RuntimeError(
+                f"padded convolution sum misses sum(f) sum(g) by {gap:.3e}, more than "
+                f"{CONV_MASS_RTOL:.0e} of sum|f| sum|g| = {bound / CONV_MASS_RTOL:.3e}; "
+                f"this signals an FFT defect"
+            )
+        return full[self._keep]
 
     def __call__(self, g: GridFunction) -> GridFunction:
         spec = self.kernel.spec
         if g.spec != spec:
             raise ValueError("grid specs do not match")
         if g is self.kernel:
-            g_hat, g_sum, g_abs = self._kernel_hat, self._kernel_sum, self._kernel_abs
+            g_sum, g_abs = self._kernel_sum, self._kernel_abs
         else:
-            g_hat = np.fft.rfftn(g.values, s=self._padded, axes=self._axes)
             g_sum, g_abs = float(g.values.sum()), float(np.abs(g.values).sum())
-        full = np.fft.irfftn(self._kernel_hat * g_hat, s=self._padded, axes=self._axes)
-        gap = abs(float(full.sum()) - self._kernel_sum * g_sum)
-        if gap > CONV_MASS_RTOL * self._kernel_abs * g_abs:
-            raise RuntimeError(
-                f"padded convolution sum misses sum(f) sum(g) by {gap:.3e}, more than "
-                f"{CONV_MASS_RTOL:.0e} of sum|f| sum|g| = {self._kernel_abs * g_abs:.3e}; "
-                f"this signals an FFT defect"
-            )
-        return GridFunction(spec=spec, values=full[self._window] * spec.cell_volume)
+        raw = self.window(g.values, g_sum, g_abs)
+        return GridFunction(spec=spec, values=raw * spec.cell_volume)
 
 
 def convolve(g1: GridFunction, g2: GridFunction) -> GridFunction:
     """Linear convolution approximating integral f(x-y) g(y) dy.
 
-    A one-shot ConvolutionPlan: both inputs are zero padded to 2N per
-    axis, real-transformed (once when g1 is g2), multiplied, inverted,
-    checked against the mass identity, scaled by h^d and restricted back
-    to the original window.  Callers that convolve many functions with
-    one fixed factor should build the plan once instead.
+    A one-shot ConvolutionPlan: both inputs are zero padded to 3N/2 per
+    axis (enough to keep the window unaliased), real-transformed (once
+    when g1 is g2), multiplied, inverted, checked against the mass
+    identity, restricted back to the original window and scaled by h^d.
+    Callers that convolve many functions with one fixed factor should
+    build the plan once instead.
     """
     return ConvolutionPlan(g1)(g2)
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from autoconv import analyze, clt, families, grids
+from autoconv import analyze, clt, construct, families, grids
 from autoconv.cli import main
 
 
@@ -541,6 +541,14 @@ def test_unknown_construct_method_rejected(tmp_path, capsys):
     assert not list(tmp_path.glob("*"))
 
 
+_SPEC = grids.GridSpec(dim=1, extent=16.0, points_per_axis=256)
+
+
+def _residual(mass):
+    raw = grids.sample(_SPEC, families.gaussian_density())
+    return grids.GridFunction(spec=_SPEC, values=raw.values * (mass / grids.integrate(raw)))
+
+
 def _grid_header_file(tmp_path, **header):
     doc = {"dim": 1, "extent": 4.0, "points_per_axis": 8, "values": [0.1] * 8, **header}
     path = tmp_path / "grid.json"
@@ -562,6 +570,16 @@ def _grid_header_file(tmp_path, **header):
         (["verify", "--family", "poisson", "--L", "inf", "--N", "1024"], "extent"),
         (["verify", "--input", {"points_per_axis": 16.0}], "points_per_axis"),
         (["verify", "--input", {"dim": True}], "dim"),
+        (
+            ["construct", "--residual", "gaussian", "--L", "40", "--N", "512",
+             "--epsilon", "inf", "--method", "series"],
+            "epsilon must be finite",
+        ),
+        (["construct", "--residual", "gaussian", "--mass", "nan"], "mass must be finite"),
+        (["construct", "--residual", "bump", "--mass", "inf"], "mass must be finite"),
+        (["verify", "--family", "poisson", "--a", "inf", "--N", "1024"], "a must be finite"),
+        (["verify", "--family", "poisson", "--t", "nan", "--N", "1024"], "t must be finite"),
+        (["family", "--family", "sinc", "--a", "inf"], "a must be finite"),
     ],
 )
 def test_non_finite_or_mistyped_parameter_rejected(tmp_path, capsys, argv, name):
@@ -571,6 +589,24 @@ def test_non_finite_or_mistyped_parameter_rejected(tmp_path, capsys, argv, name)
     assert len(out.splitlines()) == 1
     assert name in json.loads(out)["error"]
     assert not list((tmp_path / "out").glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "call,name",
+    [
+        (lambda: construct.build_series(_residual(0.1), epsilon=math.inf), "epsilon"),
+        (lambda: construct.build_series(_residual(0.1), epsilon=math.nan), "epsilon"),
+        (lambda: construct.bump_residual(_SPEC, math.nan), "mass"),
+        (lambda: construct.bump_residual(_SPEC, math.inf), "mass"),
+        (lambda: families.PoissonParams(a=math.inf, t=1.0), "a"),
+        (lambda: families.PoissonParams(a=0.5, t=math.nan), "t"),
+        (lambda: families.SincParams(a=math.inf), "a"),
+        (lambda: families.SincParams(a=math.nan), "a"),
+    ],
+)
+def test_non_finite_parameter_rejected_by_library(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        call()
 
 
 @pytest.mark.parametrize(

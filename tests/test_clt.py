@@ -178,7 +178,8 @@ class TestBallMassAndPhi:
         # independent quadrature oracle for integral min(1,|x|) gamma(x) dx
         x = np.linspace(-12.0, 12.0, 2_000_001)
         gauss = np.exp(-x * x / 2.0) / math.sqrt(2.0 * math.pi)
-        oracle = float(np.trapezoid(np.minimum(1.0, np.abs(x)) * gauss, x))
+        y = np.minimum(1.0, np.abs(x)) * gauss
+        oracle = float(np.sum((y[1:] + y[:-1]) * np.diff(x)) / 2.0)  # trapezoid rule
         assert oracle == pytest.approx(0.6312541, abs=1e-6)
         spec = GridSpec(dim=1, extent=16.0, points_per_axis=2**14)
         g = sample(spec, gaussian_density())

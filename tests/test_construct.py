@@ -125,6 +125,63 @@ class TestBuildSeries:
             with pytest.raises(ValueError, match="1/4"):
                 build_series(gaussian_residual(mass))
 
+    @pytest.mark.parametrize("epsilon", [math.inf, math.nan, 0.0, -1e-3])
+    def test_epsilon_must_be_finite_and_positive(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            build_series(gaussian_residual(0.1), epsilon=epsilon)
+
+    def test_critical_build_records_clamped_mass(self):
+        build = build_series(gaussian_residual(0.25, N=2**10))
+        assert build.n_terms == 796
+        assert 0.0 <= build.clamped_l1 < 1e-12
+
+    def test_clamp_beyond_mass_tolerance_raises(self, monkeypatch):
+        # Move mass from the last window node to slot 0, below the window:
+        # the sum over the full product, and so the mass guard, is
+        # unchanged, but the window gains a negative value to clamp.
+        real_irfftn = np.fft.irfftn
+
+        def corrupt(*args, **kwargs):
+            full = real_irfftn(*args, **kwargs)
+            shift = 1e-6 * float(np.abs(full).sum())
+            full.flat[0] += shift
+            full.flat[-1] -= shift
+            return full
+
+        monkeypatch.setattr("autoconv.grids.np.fft.irfftn", corrupt)
+        with pytest.raises(RuntimeError, match="clamps"):
+            build_series(gaussian_residual(0.1))
+
+    def test_mass_guard_catches_nan_inverse(self, monkeypatch):
+        real_irfftn = np.fft.irfftn
+
+        def corrupt(*args, **kwargs):
+            full = real_irfftn(*args, **kwargs)
+            full.flat[-1] = np.nan
+            return full
+
+        monkeypatch.setattr("autoconv.grids.np.fft.irfftn", corrupt)
+        with pytest.raises(RuntimeError, match="FFT defect"):
+            build_series(gaussian_residual(0.1))
+
+    @pytest.mark.parametrize("dim, n", [(1, 256), (2, 16), (3, 8)])
+    def test_every_inverse_transform_has_three_halves_n_per_axis(self, dim, n, monkeypatch):
+        spec = GridSpec(dim=dim, extent=6.0, points_per_axis=n)
+        raw = sample(spec, gaussian_density())
+        u = GridFunction(spec=spec, values=raw.values * (0.1 / integrate(raw)))
+        shapes = []
+        real_irfftn = np.fft.irfftn
+
+        def recording(*args, **kwargs):
+            full = real_irfftn(*args, **kwargs)
+            shapes.append(full.shape)
+            return full
+
+        monkeypatch.setattr("autoconv.grids.np.fft.irfftn", recording)
+        build = build_series(u, epsilon=1e-4)
+        assert build.n_terms > 2
+        assert shapes == [(3 * n // 2,) * dim] * (build.n_terms - 1)
+
     def test_term_cap_reports_achievable_tail(self):
         with pytest.raises(ValueError, match="achievable tail"):
             build_series(gaussian_residual(0.25), epsilon=1e-4)

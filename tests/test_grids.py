@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -154,7 +155,7 @@ def direct_convolution(g1, g2):
 
 
 class TestConvolve:
-    @pytest.mark.parametrize("dim, n", [(1, 64), (2, 16), (3, 8)])
+    @pytest.mark.parametrize("dim, n", [(1, 64), (2, 16), (3, 8), (1, 8), (2, 8)])
     @pytest.mark.parametrize("signed", [False, True])
     def test_matches_direct_sum(self, dim, n, signed):
         spec = GridSpec(dim=dim, extent=3.0, points_per_axis=n)
@@ -190,6 +191,35 @@ class TestConvolve:
         monkeypatch.setattr("autoconv.grids.np.fft.irfftn", corrupt)
         with pytest.raises(RuntimeError, match="FFT defect"):
             convolve(gauss, gauss)
+
+    def test_mass_guard_catches_nan_inverse(self, gauss, monkeypatch):
+        real_irfftn = np.fft.irfftn
+
+        def corrupt(*args, **kwargs):
+            full = real_irfftn(*args, **kwargs)
+            full.flat[0] = np.nan
+            return full
+
+        monkeypatch.setattr("autoconv.grids.np.fft.irfftn", corrupt)
+        with pytest.raises(RuntimeError, match="FFT defect"):
+            convolve(gauss, gauss)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_point_masses_at_window_corners(self, dim):
+        # Corner pairs reach the extreme linear indices 0 and 2N - 2; at the
+        # circular size 3N/2 the latter wraps to N/2 - 2, just below the
+        # window, so a smaller transform would alias it in.
+        spec = GridSpec(dim=dim, extent=3.0, points_per_axis=8)
+        corners = list(itertools.product((0, 7), repeat=dim))
+        for i, j in itertools.product(corners, corners):
+            g1 = np.zeros(spec.shape)
+            g2 = np.zeros(spec.shape)
+            g1[i] = 1.0
+            g2[j] = 2.0
+            g1, g2 = GridFunction(spec=spec, values=g1), GridFunction(spec=spec, values=g2)
+            want = direct_convolution(g1, g2)
+            got = convolve(g1, g2).values
+            assert np.abs(got - want).max() <= 1e-12 * 2.0 * spec.cell_volume
 
     def test_spec_mismatch(self, gauss):
         other = sample(spec1(N=2**11), families.gaussian_density())
