@@ -3,12 +3,12 @@
 Every subcommand writes <out-dir>/<command>_report.json holding a
 deterministic "report" object (command, version, resolved config,
 results) next to a "timestamp" field that is kept outside the report so
-identical configs reproduce it byte for byte.  CSV artifacts carry the
-plot-ready series.  A --config file holds a JSON object that may supply
-any flag; each value must have the flag's type, and null means the key
-is absent.  Exit codes: 0 success or verdict solution, 2 inequality
-violation, 1 usage or numeric error (with a single-line {"error": ...}
-on stdout).
+identical configs reproduce it byte for byte; its config holds only
+the keys the run read.  CSV artifacts carry the plot-ready series.  A
+--config file holds a JSON object that may supply any flag; each value
+must have the flag's type, and null means the key is absent.  Exit
+codes: 0 success or verdict solution, 2 inequality violation, 1 usage
+or numeric error (with a single-line {"error": ...} on stdout).
 """
 
 from __future__ import annotations
@@ -56,59 +56,73 @@ def _grid_spec(cfg) -> grids.GridSpec:
     return grids.GridSpec(dim=cfg["d"], extent=cfg["L"], points_per_axis=cfg["N"])
 
 
-def _grid_function(cfg, named) -> grids.GridFunction:
-    """The grid file given by --input, else named(cfg, spec) on the config's grid.
+def _sampled(evaluator):
+    """builder(cfg, spec) that samples evaluator(cfg) on the grid."""
+    return lambda cfg, spec: grids.sample(spec, evaluator(cfg))
 
-    A file sets the config's d, L and N to its own grid, so the report
-    echoes what ran; naming a family or residual beside it is an error.
+
+def _gaussian_residual(cfg, spec) -> grids.GridFunction:
+    if not 0 <= cfg["mass"] < math.inf:
+        raise CliError(f"mass must be finite and nonnegative, got {cfg['mass']}")
+    raw = grids.sample(spec, families.gaussian_density(sigma=cfg["sigma"]))
+    scale = cfg["mass"] / grids.integrate(raw)
+    return grids.GridFunction(spec=spec, values=raw.values * scale)
+
+
+_margin = _sampled(lambda c: families.poisson_inequality_margin(c["a"], c["t"], c["d"]))
+
+# name -> (the parameter keys it reads, builder(cfg, spec))
+_FAMILIES = {
+    "poisson": (
+        ("a", "t"),
+        _sampled(lambda c: families.poisson(families.PoissonParams(c["a"], c["t"], c["d"]))),
+    ),
+    "poisson_margin": (("a", "t"), _margin),
+    "sinc": (("a",), _sampled(lambda c: families.sinc_counterexample(families.SincParams(c["a"])))),
+    "heavy_tail": ((), _sampled(lambda c: families.heavy_tail_density())),
+    "gaussian": (("sigma",), _sampled(lambda c: families.gaussian_density(sigma=c["sigma"]))),
+    "reverse": (("a", "delta"), lambda c, spec: families.reverse_example(spec, c["a"], c["delta"])),
+}
+_RESIDUALS = {
+    "gaussian": (("mass", "sigma"), _gaussian_residual),
+    "bump": (
+        ("mass", "profile"),
+        lambda c, spec: construct.bump_residual(spec, c["mass"], c["profile"]),
+    ),
+    "poisson_margin": (("a", "t"), _margin),
+}
+
+
+def _grid_function(cfg) -> grids.GridFunction:
+    """The grid file given by --input, else the named family or residual.
+
+    A named function is built on the config's grid.  A file sets the
+    config's d, L and N to its own grid, so the report echoes what ran;
+    naming a family or residual beside it is an error.  The config keeps
+    only the parameter keys the function read: the named one's, none for
+    a file.
     """
-    path = cfg["input"]
-    if not path:
-        return named(cfg, _grid_spec(cfg))
     source = "family" if "family" in cfg else "residual"
-    if cfg[source]:
+    table = _FAMILIES if source == "family" else _RESIDUALS
+    path, name = cfg["input"], cfg[source]
+    if path and name:
         raise CliError(f"--input and --{source} both name the function: give one of them")
-    g = grids.from_json(path) if path.endswith(".json") else grids.from_csv(path)
-    cfg.update(d=int(g.spec.dim), L=float(g.spec.extent), N=int(g.spec.points_per_axis))
-    return g
-
-
-def _family(cfg, spec) -> grids.GridFunction:
-    name, a = cfg["family"], cfg["a"]
-    if name == "reverse":
-        return families.reverse_example(spec, a=a, delta=cfg["delta"])
-    if name == "poisson":
-        evaluator = families.poisson(families.PoissonParams(a=a, t=cfg["t"], d=cfg["d"]))
-    elif name == "poisson_margin":
-        evaluator = families.poisson_inequality_margin(a, cfg["t"], cfg["d"])
-    elif name == "sinc":
-        evaluator = families.sinc_counterexample(families.SincParams(a=a))
-    elif name == "heavy_tail":
-        evaluator = families.heavy_tail_density()
-    elif name == "gaussian":
-        evaluator = families.gaussian_density(sigma=cfg["sigma"])
-    elif name:
-        raise CliError(f"unknown family {name!r}")
+    if path:
+        g = grids.from_json(path) if path.endswith(".json") else grids.from_csv(path)
+        cfg.update(d=int(g.spec.dim), L=float(g.spec.extent), N=int(g.spec.points_per_axis))
+        read = ()
     else:
-        raise CliError("provide either --input or --family")
-    return grids.sample(spec, evaluator)
-
-
-def _residual(cfg, spec) -> grids.GridFunction:
-    name = cfg["residual"]
-    if name == "gaussian":
-        if not 0 <= cfg["mass"] < math.inf:
-            raise CliError(f"mass must be finite and nonnegative, got {cfg['mass']}")
-        raw = grids.sample(spec, families.gaussian_density(sigma=cfg["sigma"]))
-        scale = cfg["mass"] / grids.integrate(raw)
-        return grids.GridFunction(spec=spec, values=raw.values * scale)
-    if name == "bump":
-        return construct.bump_residual(spec, cfg["mass"], cfg["profile"])
-    if name == "poisson_margin":
-        return grids.sample(
-            spec, families.poisson_inequality_margin(cfg["a"], cfg["t"], cfg["d"])
-        )
-    raise CliError("provide either --input or --residual {gaussian,bump,poisson_margin}")
+        spec = _grid_spec(cfg)
+        if name not in table:
+            if source == "family" and name:
+                raise CliError(f"unknown family {name!r}")
+            choices = " {gaussian,bump,poisson_margin}" if source == "residual" else ""
+            raise CliError(f"provide either --input or --{source}{choices}")
+        read, build = table[name]
+        g = build(cfg, spec)
+    for key in {key for keys, _ in table.values() for key in keys}.difference(read):
+        del cfg[key]
+    return g
 
 
 # ----------------------------------------------------------------------
@@ -129,7 +143,7 @@ def _run_coeffs(cfg, out_dir: Path):
 
 
 def _run_family(cfg, out_dir: Path):
-    g = _grid_function(cfg, _family)
+    g = _grid_function(cfg)
     grids.to_csv(g, out_dir / "family.csv")
     grids.to_json(g, out_dir / "family.json")
     results = {
@@ -145,7 +159,9 @@ def _run_construct(cfg, out_dir: Path):
     method = cfg["method"]
     if method not in ("series", "spectral", "both"):
         raise CliError(f"unknown method {method!r}: use series, spectral or both")
-    u = _grid_function(cfg, _residual)
+    u = _grid_function(cfg)
+    if method == "spectral":
+        del cfg["epsilon"]  # read by the series route alone, so not echoed
     results: dict = {"residual_mass": grids.integrate(u)}
     series_build = None
     if method in ("series", "both"):
@@ -168,7 +184,7 @@ def _run_construct(cfg, out_dir: Path):
 
 
 def _run_verify(cfg, out_dir: Path):
-    f = _grid_function(cfg, _family)
+    f = _grid_function(cfg)
     residual = analyze.recovered_residual(f)
     report = analyze.scan_residual(f, residual, tolerance=cfg["tolerance"])
     grids.write_csv(
@@ -181,9 +197,8 @@ def _run_verify(cfg, out_dir: Path):
 
 
 def _run_moments(cfg, out_dir: Path):
-    f = _grid_function(cfg, _family)
-    orders = cfg["p"] or [1.0]
-    reports = [analyze.moment_scan(f, p, levels=cfg["levels"]) for p in orders]
+    f = _grid_function(cfg)
+    reports = [analyze.moment_scan(f, p, levels=cfg["levels"]) for p in cfg["p"]]
     rows = []
     for rep in reports:
         for radius, value in zip(rep.radii, rep.values):
@@ -195,8 +210,8 @@ def _run_moments(cfg, out_dir: Path):
 def _run_clt(cfg, out_dir: Path):
     outcomes = clt.run_experiments(
         cfg["kind"],
-        cfg["R"] or (1.0,),
-        n_list=cfg["n"] or (4, 16, 64, 256),
+        cfg["R"],
+        n_list=cfg["n"],
         mc_samples=cfg["samples"],
         seed=cfg["seed"],
     )
@@ -229,9 +244,10 @@ _RUNNERS = {
 }
 
 # Every option once: {command: {key: (type, default, meaning)}}.  A list
-# type marks a repeatable flag; a None default means the option is unset
-# unless given.  The table drives the flags, the config-file keys and
-# their type checks.
+# type marks a repeatable flag, whose tuple default the given values
+# replace (argparse never sees a default: "append" would extend it); a
+# None default means the option is unset unless given.  The table drives
+# the flags, the config-file keys and their type checks.
 _GRID = {
     "d": (int, 1, "dimension: 1, 2 or 3"),
     "L": (float, 100.0, "grid window [-L, L) per axis"),
@@ -266,14 +282,14 @@ _OPTIONS: dict[str, dict] = {
     "verify": {**_FAMILY, "tolerance": (float, None, "violation tolerance"), **_OUT},
     "moments": {
         **_FAMILY,
-        "p": ([float], None, "the moment orders"),
+        "p": ([float], (1.0,), "the moment orders"),
         "levels": (int, 4, "radius levels of the scan"),
         **_OUT,
     },
     "clt": {
         "kind": (str, None, "finite_variance or infinite_variance"),
-        "R": ([float], None, "the ball radii"),
-        "n": ([int], None, "the summand counts"),
+        "R": ([float], (1.0,), "the ball radii"),
+        "n": ([int], (4, 16, 64, 256), "the summand counts"),
         "samples": (int, 100000, "Monte Carlo draws per n; 0 skips"),
         "seed": (int, 0, "Monte Carlo seed"),
         **_OUT,

@@ -75,9 +75,12 @@ def rescaled_density(w: GridFunction, n: int) -> GridFunction:
 
     The transform value is raised to the n-th power through log-magnitude
     arithmetic, so deep underflow flushes cleanly to zero instead of
-    raising.  Tiny negative output values (at worst -1e-8) are ringing
-    and are clamped; a total mass more than 2 percent away from 1 leaves
-    a warning on record.
+    raising.  The inverse is idft's checked one: the powered transform of
+    a real density is conjugate symmetric, and one that is not (its
+    transform has not decayed by the grid's top frequency, as for a point
+    mass off the origin) raises ValueError.  Tiny negative output values
+    (at worst -1e-8) are ringing and are clamped; a total mass more than
+    2 percent away from 1 leaves a warning on record.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
@@ -86,17 +89,13 @@ def rescaled_density(w: GridFunction, n: int) -> GridFunction:
         raise ValueError(f"input must be a probability density; mass = {mass:.6f}")
 
     chat = _charfun_on_scaled_lattice(w, n)
-    if n == 1:
-        powered = chat
-    else:
-        mag = np.abs(chat)
-        with np.errstate(divide="ignore"):
-            log_mag = np.log(mag, out=np.full_like(mag, -np.inf), where=mag > 0)
-        with np.errstate(under="ignore"):
-            powered = np.exp(n * log_mag) * np.exp(1j * n * np.angle(chat))
+    mag = np.abs(chat)
+    with np.errstate(divide="ignore"):
+        log_mag = np.log(mag, out=np.full_like(mag, -np.inf), where=mag > 0)
+    with np.errstate(under="ignore"):
+        powered = np.exp(n * log_mag) * np.exp(1j * n * np.angle(chat))
 
-    out = idft(Spectrum(spec=w.spec, values=powered), allow_complex=True)
-    density = out.real
+    density = idft(Spectrum(spec=w.spec, values=powered)).values
     low = float(density.min())
     if low < -DENSITY_CLAMP:
         warnings.warn(

@@ -198,47 +198,21 @@ def build_spectral(u: GridFunction) -> GridFunction:
 
     The residual contract is the series route's: values down to
     -NEGATIVE_CLAMP are clamped to zero with a warning, and a mass up to
-    (1 + MASS_RTOL)/4 is built as critical (1 - 4 uhat(0) clamped to 0),
-    just as the series route caps its ratio at 1.  Anything else raises.
+    (1 + MASS_RTOL)/4 is built as critical, just as the series route caps
+    its ratio at 1.  Anything else raises.
 
-    The principal branch of the square root is the correct one: for a
-    nonnegative residual, |uhat(k)| <= uhat(0) <= 1/4 (up to MASS_RTOL),
-    so 1 - 4 uhat stays in the closed right half plane and never crosses
-    the cut.  A jump between adjacent frequency samples that looks like a
-    sign flip is therefore an integrity failure and raises instead of
-    being patched.
+    For a nonnegative residual |4 uhat(k)| <= 4 uhat(0) <= 1 (up to
+    MASS_RTOL), so z = 1 - 4 uhat lies in the closed right half-plane,
+    where the principal square root is continuous.  Re z is clamped at 0
+    at every frequency, which removes only that rounding and tolerance
+    excess (at k = 0 it is what makes a mass above 1/4 critical), so no
+    sample can cross the branch cut.
     """
     u, _ = _validated_residual(u)
-    spec = u.spec
     z = 1.0 - 4.0 * dft(u).values
-    center = (spec.points_per_axis // 2,) * spec.dim
-    z[center] = max(z[center].real, 0.0) + 1j * z[center].imag
-
-    root = np.sqrt(z)
-    _check_branch_continuity(root, spec)
-    fhat = 0.5 - 0.5 * root
-    return idft(Spectrum(spec=spec, values=fhat))
-
-
-def _check_branch_continuity(root: np.ndarray, spec: GridSpec) -> None:
-    """Flag adjacent-sample jumps that resemble a square-root sign flip.
-
-    A flip shows up as s[i+1] close to -s[i] with both magnitudes well
-    away from zero; legitimate jumps through the critical zero at k = 0
-    have a small magnitude on at least one side.
-    """
-    floor = 1e-6
-    for axis in range(spec.dim):
-        lead = np.moveaxis(root, axis, 0)
-        a, bnext = lead[:-1], lead[1:]
-        suspect = (np.abs(bnext - a) > np.abs(bnext + a)) & (
-            np.minimum(np.abs(a), np.abs(bnext)) > floor
-        )
-        if bool(suspect.any()):
-            raise RuntimeError(
-                "square-root branch discontinuity detected between adjacent "
-                "frequency samples; refusing to patch the sign"
-            )
+    np.maximum(z.real, 0.0, out=z.real)
+    fhat = 0.5 - 0.5 * np.sqrt(z)
+    return idft(Spectrum(spec=u.spec, values=fhat))
 
 
 def crosscheck(series: SeriesBuild, spectral: GridFunction) -> float:

@@ -252,23 +252,20 @@ def dft(g: GridFunction) -> Spectrum:
     return Spectrum(spec=spec, values=out)
 
 
-def idft(s: Spectrum, allow_complex: bool = False):
+def idft(s: Spectrum) -> GridFunction:
     """Inverse transform with frequency weight 1/(2L)^d.
 
-    Returns a GridFunction when the spectrum is conjugate symmetric (real
-    result).  A non-symmetric spectrum is an error unless allow_complex is
-    set, in which case the complex node values are returned as an array.
+    The spectrum must be conjugate symmetric, so the result is real: an
+    imaginary residue above IDFT_IMAG_TOL of the peak raises ValueError.
     """
     spec = s.spec
     out = np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(s.values))) / spec.cell_volume
-    if allow_complex:
-        return out
     peak = float(np.abs(out).max())
     imag_peak = float(np.abs(out.imag).max())
     if imag_peak > IDFT_IMAG_TOL * peak:
         raise ValueError(
             f"spectrum is not conjugate symmetric (imaginary residue {imag_peak:.3e} "
-            f"vs peak {peak:.3e}); pass allow_complex=True for the complex result"
+            f"vs peak {peak:.3e})"
         )
     return GridFunction(spec=spec, values=out.real)
 

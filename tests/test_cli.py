@@ -286,6 +286,62 @@ def test_determinism_and_config_echo(tmp_path):
     assert docs[0]["report"]["version"]
 
 
+def test_list_defaults_are_echoed(tmp_path):
+    argv = ["clt", "--kind", "finite_variance", "--samples", "0", "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    report = read_report(tmp_path, "clt")["report"]
+    assert (report["config"]["R"], report["config"]["n"]) == ([1.0], [4, 16, 64, 256])
+    ran = report["results"]["experiments"]
+    assert [(r["ball_radius"], r["n_list"]) for r in ran] == [(1.0, [4, 16, 64, 256])]
+    # a given value replaces the default list instead of joining it
+    assert main([*argv, "--R", "2", "--n", "4"]) == 0
+    config = read_report(tmp_path, "clt")["report"]["config"]
+    assert (config["R"], config["n"]) == ([2.0], [4])
+    argv = ["moments", "--family", "poisson", "--N", "1024", "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    report = read_report(tmp_path, "moments")["report"]
+    assert report["config"]["p"] == [1.0]
+    assert [r["order"] for r in report["results"]["reports"]] == [1.0]
+
+
+_FAMILY_KEYS = {"a", "t", "sigma", "delta"}
+_RESIDUAL_KEYS = {"mass", "sigma", "profile", "a", "t"}
+
+
+@pytest.mark.parametrize(
+    "argv,read",
+    [
+        (["family", "--family", "sinc"], {"a"}),
+        (["family", "--family", "reverse", "--a", "2"], {"a", "delta"}),
+        (["verify", "--family", "poisson"], {"a", "t"}),
+        (["moments", "--family", "heavy_tail"], set()),
+        (["moments", "--family", "gaussian", "--sigma", "2"], {"sigma"}),
+        (["construct", "--residual", "gaussian", "--method", "both"], {"mass", "sigma", "epsilon"}),
+        (["construct", "--residual", "bump", "--method", "series"], {"mass", "profile", "epsilon"}),
+        (["construct", "--residual", "poisson_margin", "--method", "spectral"], {"a", "t"}),
+    ],
+)
+def test_config_echoes_only_the_parameters_read(tmp_path, argv, read):
+    assert main([*argv, "--L", "40", "--N", "1024", "--out-dir", str(tmp_path)]) == 0
+    config = read_report(tmp_path, argv[0])["report"]["config"]
+    parameters = (_RESIDUAL_KEYS | {"epsilon"}) if argv[0] == "construct" else _FAMILY_KEYS
+    assert parameters & set(config) == read
+
+
+def test_input_echoes_no_function_parameters(tmp_path):
+    path = _poisson_file(tmp_path)
+    assert main(["verify", "--input", path, "--out-dir", str(tmp_path)]) == 0
+    assert not _FAMILY_KEYS & set(read_report(tmp_path, "verify")["report"]["config"])
+    argv = ["family", "--family", "poisson_margin", "--N", "1024", "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    path = str(tmp_path / "family.csv")
+    for method, echoed in (("series", {"epsilon"}), ("spectral", set())):
+        argv = ["construct", "--input", path, "--method", method, "--out-dir", str(tmp_path)]
+        assert main(argv) == 0
+        config = read_report(tmp_path, "construct")["report"]["config"]
+        assert (_RESIDUAL_KEYS | {"epsilon"}) & set(config) == echoed
+
+
 def test_config_file_with_flag_override(tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"n": 10}))

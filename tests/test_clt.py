@@ -58,6 +58,16 @@ class TestRescaledDensity:
         out = rescaled_density(w, 1)
         assert np.abs(out.values - w.values).max() <= 1e-8
 
+    def test_unresolved_density_rejected(self):
+        # A point mass one node off the origin moves to sqrt(2) nodes at
+        # n = 2, between nodes: its powered transform is not conjugate
+        # symmetric, and the checked inverse refuses it.
+        spec = GridSpec(dim=1, extent=8.0, points_per_axis=64)
+        values = np.zeros(spec.shape)
+        values[spec.points_per_axis // 2 + 1] = 1.0 / spec.spacing
+        with pytest.raises(ValueError, match="conjugate symmetric"):
+            rescaled_density(GridFunction(spec=spec, values=values), 2)
+
     def test_uniform_converges_to_gaussian(self, uniform_fine):
         out = rescaled_density(uniform_fine, 64)
         target = sample(uniform_fine.spec, gaussian_density())

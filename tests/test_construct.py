@@ -217,15 +217,26 @@ class TestBuildSpectral:
         f = build_spectral(zero_residual())
         assert np.abs(f.values).max() <= 1e-15
 
-    def test_branch_flip_guard(self):
-        from autoconv.construct import _check_branch_continuity
+    def test_root_argument_stays_in_right_half_plane(self, monkeypatch):
+        # A point mass one node off the origin, inside the mass tolerance:
+        # Re(1 - 4 uhat) = 1 - 4 b cos(2 pi m / N) is negative at m = 0
+        # and at m = +-1 too, and every sample must be clamped before the
+        # square root.
+        spec = GridSpec(dim=1, extent=100.0, points_per_axis=2**14)
+        values = np.zeros(spec.shape)
+        values[spec.points_per_axis // 2 + 1] = 0.25 * (1.0 + 5e-7) / spec.spacing
+        arguments = []
+        real_sqrt = np.sqrt
 
-        spec = GridSpec(dim=1, extent=8.0, points_per_axis=16)
-        root = np.ones(16, dtype=complex)
-        root[8:] = -1.0  # adjacent samples near +1 and -1: a sign flip
-        with pytest.raises(RuntimeError, match="branch"):
-            _check_branch_continuity(root, spec)
-        _check_branch_continuity(np.ones(16, dtype=complex), spec)
+        def spy(x, *args, **kwargs):
+            if np.iscomplexobj(x):
+                arguments.append(np.array(x, copy=True))
+            return real_sqrt(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "sqrt", spy)
+        build_spectral(GridFunction(spec=spec, values=values))
+        assert arguments
+        assert all(float(z.real.min()) >= 0.0 for z in arguments)
 
     def test_subcritical_gaussian_mass(self):
         f = build_spectral(gaussian_residual(3.0 / 16.0))
