@@ -11,7 +11,6 @@ import math
 import numpy as np
 
 from autoconv import (
-    GridFunction,
     GridSpec,
     build_series,
     build_spectral,
@@ -19,15 +18,14 @@ from autoconv import (
     gaussian_density,
     integrate,
     recovered_residual,
-    sample,
+    sample_with_mass,
     verify,
 )
 
 spec = GridSpec(dim=1, extent=40.0, points_per_axis=2**12)
-raw = sample(spec, gaussian_density())
 
 for mass in (0.05, 3.0 / 16.0, 0.24, 0.25):
-    u = GridFunction(spec=spec, values=raw.values * (mass / integrate(raw)))
+    u = sample_with_mass(spec, gaussian_density(), mass)
     build = build_series(u)
     spectral = build_spectral(u)
     predicted = 0.5 - 0.5 * math.sqrt(max(0.0, 1.0 - 4.0 * mass))
@@ -39,7 +37,7 @@ for mass in (0.05, 3.0 / 16.0, 0.24, 0.25):
     )
 
 print("\nround trip through the verifier (mass 3/16):")
-u = GridFunction(spec=spec, values=raw.values * ((3.0 / 16.0) / integrate(raw)))
+u = sample_with_mass(spec, gaussian_density(), 3.0 / 16.0)
 build = build_series(u, epsilon=1e-6)
 report = verify(build.solution, tolerance=build.tail_sup + 1e-9)
 recovered = recovered_residual(build.solution)

@@ -9,7 +9,6 @@ residuals give solutions with visibly exponential tails.
 import math
 
 from autoconv import (
-    GridFunction,
     GridSpec,
     PoissonParams,
     build_exponential_example,
@@ -17,10 +16,10 @@ from autoconv import (
     critical_moment_theorem_demo,
     exp_tail_fit,
     gaussian_density,
-    integrate,
     moment_scan,
     poisson,
     sample,
+    sample_with_mass,
 )
 
 
@@ -46,8 +45,7 @@ for order in (0.5, 1.0, 2.0):
 
 print("\nsubcritical build (gaussian residual, mass 3/16):")
 gspec = GridSpec(dim=1, extent=40.0, points_per_axis=2**12)
-raw = sample(gspec, gaussian_density())
-u = GridFunction(spec=gspec, values=raw.values * ((3.0 / 16.0) / integrate(raw)))
+u = sample_with_mass(gspec, gaussian_density(), 3.0 / 16.0)
 sub = critical_moment_theorem_demo(u, levels=4)
 for order in (0.5, 1.0, 2.0):
     show("gauss", sub.reports[order])

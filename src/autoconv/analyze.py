@@ -85,12 +85,6 @@ def _interior_mask(g: GridFunction) -> np.ndarray:
     return mask
 
 
-def _location(g: GridFunction, flat_index: int) -> tuple[float, ...]:
-    idx = np.unravel_index(flat_index, g.spec.shape)
-    nodes = g.spec.axis_nodes()
-    return tuple(float(nodes[i]) for i in idx)
-
-
 def recovered_residual(f: GridFunction) -> GridFunction:
     """The slack f - f*f recomputed on the window."""
     return GridFunction(spec=f.spec, values=f.values - convolve(f, f).values)
@@ -138,7 +132,7 @@ def scan_residual(
         min_value=float(f.values.min()),
         mass_relation_gap=gap,
         verdict=verdict,
-        worst_location=_location(f, flat),
+        worst_location=f.spec.node(flat),
         tolerance=tolerance,
     )
 
@@ -151,7 +145,7 @@ def positivity_check(f: GridFunction) -> PositivityReport:
         return PositivityReport(
             nonnegative=False,
             min_value=min_value,
-            location=_location(f, int(np.argmin(f.values))),
+            location=f.spec.node(int(np.argmin(f.values))),
         )
     return PositivityReport(nonnegative=True, min_value=min_value, location=None)
 

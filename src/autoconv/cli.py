@@ -52,21 +52,9 @@ def _jsonable(obj):
     return obj
 
 
-def _grid_spec(cfg) -> grids.GridSpec:
-    return grids.GridSpec(dim=cfg["d"], extent=cfg["L"], points_per_axis=cfg["N"])
-
-
 def _sampled(evaluator):
     """builder(cfg, spec) that samples evaluator(cfg) on the grid."""
     return lambda cfg, spec: grids.sample(spec, evaluator(cfg))
-
-
-def _gaussian_residual(cfg, spec) -> grids.GridFunction:
-    if not 0 <= cfg["mass"] < math.inf:
-        raise CliError(f"mass must be finite and nonnegative, got {cfg['mass']}")
-    raw = grids.sample(spec, families.gaussian_density(sigma=cfg["sigma"]))
-    scale = cfg["mass"] / grids.integrate(raw)
-    return grids.GridFunction(spec=spec, values=raw.values * scale)
 
 
 _margin = _sampled(lambda c: families.poisson_inequality_margin(c["a"], c["t"], c["d"]))
@@ -84,7 +72,12 @@ _FAMILIES = {
     "reverse": (("a", "delta"), lambda c, spec: families.reverse_example(spec, c["a"], c["delta"])),
 }
 _RESIDUALS = {
-    "gaussian": (("mass", "sigma"), _gaussian_residual),
+    "gaussian": (
+        ("mass", "sigma"),
+        lambda c, spec: grids.sample_with_mass(
+            spec, families.gaussian_density(sigma=c["sigma"]), c["mass"]
+        ),
+    ),
     "bump": (
         ("mass", "profile"),
         lambda c, spec: construct.bump_residual(spec, c["mass"], c["profile"]),
@@ -112,14 +105,13 @@ def _grid_function(cfg) -> grids.GridFunction:
         cfg.update(d=int(g.spec.dim), L=float(g.spec.extent), N=int(g.spec.points_per_axis))
         read = ()
     else:
-        spec = _grid_spec(cfg)
         if name not in table:
             if source == "family" and name:
                 raise CliError(f"unknown family {name!r}")
-            choices = " {gaussian,bump,poisson_margin}" if source == "residual" else ""
+            choices = " {" + ",".join(_RESIDUALS) + "}" if source == "residual" else ""
             raise CliError(f"provide either --input or --{source}{choices}")
         read, build = table[name]
-        g = build(cfg, spec)
+        g = build(cfg, grids.GridSpec(dim=cfg["d"], extent=cfg["L"], points_per_axis=cfg["N"]))
     for key in {key for keys, _ in table.values() for key in keys}.difference(read):
         del cfg[key]
     return g
@@ -234,20 +226,11 @@ def _run_clt(cfg, out_dir: Path):
     return {"experiments": [_jsonable(r) for r in outcomes]}, 0
 
 
-_RUNNERS = {
-    "coeffs": _run_coeffs,
-    "family": _run_family,
-    "construct": _run_construct,
-    "verify": _run_verify,
-    "moments": _run_moments,
-    "clt": _run_clt,
-}
-
-# Every option once: {command: {key: (type, default, meaning)}}.  A list
-# type marks a repeatable flag, whose tuple default the given values
-# replace (argparse never sees a default: "append" would extend it); a
-# None default means the option is unset unless given.  The table drives
-# the flags, the config-file keys and their type checks.
+# Every command and option once: {command: (runner, {key: (type, default,
+# meaning)})}.  A list type marks a repeatable flag, whose tuple default
+# the given values replace (argparse never sees a default: "append" would
+# extend it); a None default means the option is unset unless given.  The
+# table drives the subcommands, flags, config-file keys and type checks.
 _GRID = {
     "d": (int, 1, "dimension: 1, 2 or 3"),
     "L": (float, 100.0, "grid window [-L, L) per axis"),
@@ -263,44 +246,47 @@ _FAMILY = {
     "delta": (float, 0.0, "reverse-example parameter delta"),
 }
 _OUT = {"out_dir": (str, ".", "artifact directory")}
-_OPTIONS: dict[str, dict] = {
-    "coeffs": {"n": (int, 100, "number of coefficients"), **_OUT},
-    "family": {**_FAMILY, **_OUT},
-    "construct": {
-        **_GRID,
-        "input": (str, None, "residual grid file (.csv or .json)"),
-        "residual": (str, None, "gaussian, bump or poisson_margin"),
-        "mass": (float, 0.1875, "residual mass, at most 1/4"),
-        "sigma": (float, 1.0, "Gaussian residual width"),
-        "profile": (str, "indicator", "bump profile: indicator or cosine"),
-        "a": (float, 0.5, "Poisson margin parameter a"),
-        "t": (float, 1.0, "Poisson margin scale t"),
-        "epsilon": (float, None, "L1 truncation target of the series"),
-        "method": (str, "both", "series, spectral or both"),
-        **_OUT,
-    },
-    "verify": {**_FAMILY, "tolerance": (float, None, "violation tolerance"), **_OUT},
-    "moments": {
-        **_FAMILY,
-        "p": ([float], (1.0,), "the moment orders"),
-        "levels": (int, 4, "radius levels of the scan"),
-        **_OUT,
-    },
-    "clt": {
-        "kind": (str, None, "finite_variance or infinite_variance"),
-        "R": ([float], (1.0,), "the ball radii"),
-        "n": ([int], (4, 16, 64, 256), "the summand counts"),
-        "samples": (int, 100000, "Monte Carlo draws per n; 0 skips"),
-        "seed": (int, 0, "Monte Carlo seed"),
-        **_OUT,
-    },
+_CONSTRUCT = {
+    **_GRID,
+    "input": (str, None, "residual grid file (.csv or .json)"),
+    "residual": (str, None, "gaussian, bump or poisson_margin"),
+    "mass": (float, 0.1875, "residual mass, at most 1/4"),
+    "sigma": (float, 1.0, "Gaussian residual width"),
+    "profile": (str, "indicator", "bump profile: indicator or cosine"),
+    "a": (float, 0.5, "Poisson margin parameter a"),
+    "t": (float, 1.0, "Poisson margin scale t"),
+    "epsilon": (float, None, "L1 truncation target of the series"),
+    "method": (str, "both", "series, spectral or both"),
+    **_OUT,
+}
+_MOMENTS = {
+    **_FAMILY,
+    "p": ([float], (1.0,), "the moment orders"),
+    "levels": (int, 4, "radius levels of the scan"),
+    **_OUT,
+}
+_CLT = {
+    "kind": (str, None, "finite_variance or infinite_variance"),
+    "R": ([float], (1.0,), "the ball radii"),
+    "n": ([int], (4, 16, 64, 256), "the summand counts"),
+    "samples": (int, 100000, "Monte Carlo draws per n; 0 skips"),
+    "seed": (int, 0, "Monte Carlo seed"),
+    **_OUT,
+}
+_COMMANDS: dict[str, tuple] = {
+    "coeffs": (_run_coeffs, {"n": (int, 100, "number of coefficients"), **_OUT}),
+    "family": (_run_family, {**_FAMILY, **_OUT}),
+    "construct": (_run_construct, _CONSTRUCT),
+    "verify": (_run_verify, {**_FAMILY, "tolerance": (float, None, "violation tolerance"), **_OUT}),
+    "moments": (_run_moments, _MOMENTS),
+    "clt": (_run_clt, _CLT),
 }
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="autoconv", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, options in _OPTIONS.items():
+    for command, (_, options) in _COMMANDS.items():
         p = sub.add_parser(command)
         p.add_argument("--config", default=None, help="JSON file mirroring the flags")
         for key, (kind, _, meaning) in options.items():
@@ -355,7 +341,7 @@ def _config_value(key, kind, meaning, value):
 
 def _resolve_config(args) -> dict:
     """Flags over config-file values over defaults; a null value is absent."""
-    options = _OPTIONS[args.command]
+    _, options = _COMMANDS[args.command]
     file_cfg = {}
     if args.config:
         with open(args.config) as fh:
@@ -386,7 +372,8 @@ def main(argv=None) -> int:
         cfg = _resolve_config(args)
         out_dir = Path(cfg["out_dir"])
         out_dir.mkdir(parents=True, exist_ok=True)
-        results, code = _RUNNERS[args.command](cfg, out_dir)
+        run, _ = _COMMANDS[args.command]
+        results, code = run(cfg, out_dir)
         report = {
             "command": args.command,
             "version": __version__,

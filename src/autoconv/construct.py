@@ -9,8 +9,8 @@ with mass at most 1/4.  Two independent routes realize f from u:
 * the spectral route evaluates (1 - sqrt(1 - 4 uhat)) / 2 on the grid
   frequencies and inverts, exact in the number of terms.
 
-Their agreement, within the certified tail plus grid budget, is itself a
-diagnostic and is exercised by crosscheck.
+crosscheck measures their L^1 gap on the window: a diagnostic that
+tail_l1 does not bound at critical mass (see crosscheck).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .grids import (
     dft,
     idft,
     integrate,
-    sample,
+    sample_with_mass,
 )
 
 # Pointwise floor below which negative input values are treated as noise
@@ -216,10 +216,13 @@ def build_spectral(u: GridFunction) -> GridFunction:
 
 
 def crosscheck(series: SeriesBuild, spectral: GridFunction) -> float:
-    """L^1 distance between the two construction routes.
+    """L^1 distance between the two construction routes on the window.
 
-    Contract: at most tail_l1 of the series build plus the grid error
-    budget, since the spectral route is exact in the term count.
+    Below critical mass it stays near tail_l1 plus the grid error.  At
+    critical mass it can exceed tail_l1: the heavy tail of f leaves the
+    window, and the series drops that mass while the spectral route folds
+    it back in (sigma 1.5 Gaussian, L = 40: 1.37e-2 against 1.0e-2).  The
+    acceptance suite checks only gap <= tail_l1 + 1e-3, on L = 80.
     """
     if series.solution.spec != spectral.spec:
         raise ValueError("grid specs do not match")
@@ -231,11 +234,8 @@ def bump_residual(spec: GridSpec, mass: float, profile: str = "indicator") -> Gr
     """Nonnegative residual supported in [-1, 1]^d with exact grid mass.
 
     profile "indicator" is flat; "cosine" is the smooth 1 + cos(pi x)
-    taper.  Values are rescaled so the Riemann sum equals mass exactly,
-    which must be finite and nonnegative.
+    taper, rescaled by sample_with_mass to exact grid mass.
     """
-    if not 0 <= mass < math.inf:
-        raise ValueError(f"mass must be finite and nonnegative, got {mass}")
     axis_profile = _BUMP_PROFILES.get(profile)
     if axis_profile is None:
         raise ValueError(f"unknown bump profile {profile!r}")
@@ -246,11 +246,7 @@ def bump_residual(spec: GridSpec, mass: float, profile: str = "indicator") -> Gr
             out = out * axis_profile(np.asarray(c))
         return out
 
-    raw = sample(spec, evaluator)
-    total = integrate(raw)
-    if total <= 0:
-        raise ValueError("bump has no mass on this grid; refine the spacing")
-    return GridFunction(spec=spec, values=raw.values * (mass / total))
+    return sample_with_mass(spec, evaluator, mass)
 
 
 def build_exponential_example(

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -94,43 +94,51 @@ class GridSpec:
             r2 = r2 + g**2
         return np.sqrt(r2)
 
+    def node(self, flat_index: int) -> tuple[float, ...]:
+        """Coordinates of the node at a row-major flat index."""
+        nodes = self.axis_nodes()
+        return tuple(float(nodes[i]) for i in np.unravel_index(flat_index, self.shape))
+
 
 @dataclass(frozen=True)
-class GridFunction:
+class _GridValues:
+    """Values on a GridSpec, cast to a contiguous DTYPE array and frozen."""
+
+    spec: GridSpec
+    values: np.ndarray
+
+    def __post_init__(self):
+        values = np.ascontiguousarray(self.values, dtype=self.DTYPE)
+        if values.shape != self.spec.shape:
+            raise ValueError(
+                f"values shape {values.shape} does not match grid shape {self.spec.shape}"
+            )
+        self._check(values)
+        # Frozen last, so a construction that raises leaves the caller's array writable.
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+
+    def _check(self, values: np.ndarray) -> None:
+        """Raise ValueError if the cast values are not acceptable."""
+
+
+@dataclass(frozen=True)
+class GridFunction(_GridValues):
     """Real values sampled on a GridSpec; immutable after construction."""
 
-    spec: GridSpec
-    values: np.ndarray
+    DTYPE = np.float64
 
-    def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
-        if values.shape != self.spec.shape:
-            raise ValueError(
-                f"values shape {values.shape} does not match grid shape {self.spec.shape}"
-            )
+    def _check(self, values):
         if not np.all(np.isfinite(values)):
-            idx = np.unravel_index(int(np.argmin(np.isfinite(values))), values.shape)
-            node = tuple(float(self.spec.axis_nodes()[i]) for i in idx)
+            node = self.spec.node(int(np.argmin(np.isfinite(values))))
             raise ValueError(f"non-finite value at node {node}")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True)
-class Spectrum:
+class Spectrum(_GridValues):
     """Complex frequency samples paired with the originating GridSpec."""
 
-    spec: GridSpec
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=np.complex128)
-        if values.shape != self.spec.shape:
-            raise ValueError(
-                f"values shape {values.shape} does not match grid shape {self.spec.shape}"
-            )
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+    DTYPE = np.complex128
 
 
 def sample(spec: GridSpec, evaluator: Callable) -> GridFunction:
@@ -143,6 +151,21 @@ def sample(spec: GridSpec, evaluator: Callable) -> GridFunction:
     values = np.asarray(evaluator(*spec.node_grids()), dtype=np.float64)
     values = np.broadcast_to(values, spec.shape).copy()
     return GridFunction(spec=spec, values=values)
+
+
+def sample_with_mass(spec: GridSpec, evaluator: Callable, mass: float) -> GridFunction:
+    """Sample an evaluator and rescale it so its Riemann sum is exactly mass.
+
+    mass must be finite and nonnegative, and the samples must carry
+    positive mass on the grid.
+    """
+    if not 0 <= mass < math.inf:
+        raise ValueError(f"mass must be finite and nonnegative, got {mass}")
+    raw = sample(spec, evaluator)
+    total = integrate(raw)
+    if total <= 0:
+        raise ValueError("profile has no mass on this grid; refine the spacing")
+    return GridFunction(spec=spec, values=raw.values * (mass / total))
 
 
 def integrate(g: GridFunction) -> float:
@@ -273,22 +296,14 @@ def idft(s: Spectrum) -> GridFunction:
 def restrict(g: GridFunction, extent: float) -> GridFunction:
     """Central sub-window of a GridFunction at the same spacing.
 
-    The new extent must divide the old one by a power of two so the node
-    set stays a valid centered grid (and keeps at least 8 points).
+    The new extent must leave a whole number of nodes per axis, a count
+    GridSpec accepts (a power of two, at least 8).
     """
     old = g.spec
-    ratio = old.extent / extent
-    per_axis = old.points_per_axis / ratio
-    n_new = int(round(per_axis))
-    if not (
-        math.isclose(per_axis, n_new)
-        and n_new >= 8
-        and (n_new & (n_new - 1)) == 0
-    ):
-        raise ValueError(
-            f"extent {extent} does not cut {old.extent} to a power-of-two grid "
-            f"of at least 8 points per axis"
-        )
+    per_axis = old.points_per_axis * extent / old.extent
+    if not per_axis.is_integer():
+        raise ValueError(f"extent {extent} leaves no whole number of nodes spaced {old.spacing}")
+    n_new = int(per_axis)
     new_spec = GridSpec(dim=old.dim, extent=extent, points_per_axis=n_new)
     start = (old.points_per_axis - n_new) // 2
     window = (slice(start, start + n_new),) * old.dim
@@ -351,11 +366,15 @@ def to_csv(g: GridFunction, path) -> None:
 def from_csv(path) -> GridFunction:
     """Rebuild a GridFunction from to_csv output (bit-identical values).
 
-    A row whose coordinates miss the row-major centered grid by more than
-    1e-9 h raises ValueError naming that row.
+    A file without data rows or without coordinate columns raises
+    ValueError saying so; a row whose coordinates miss the row-major
+    centered grid by more than 1e-9 h raises ValueError naming that row.
     """
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     dim = data.shape[1] - 1
+    if dim < 1:
+        problem = "no data rows" if data.size == 0 else "no coordinate column"
+        raise ValueError(f"{path}: the file has {problem}; a grid row is coordinates, then a value")
     count = data.shape[0]
     n = round(count ** (1.0 / dim))
     if n**dim != count:
@@ -373,12 +392,7 @@ def from_csv(path) -> GridFunction:
 
 
 def to_json(g: GridFunction, path) -> None:
-    doc = {
-        "dim": g.spec.dim,
-        "extent": g.spec.extent,
-        "points_per_axis": g.spec.points_per_axis,
-        "values": g.values.ravel().tolist(),
-    }
+    doc = {**asdict(g.spec), "values": g.values.ravel().tolist()}
     with open(path, "w") as fh:
         json.dump(doc, fh)
 
@@ -386,14 +400,19 @@ def to_json(g: GridFunction, path) -> None:
 def from_json(path) -> GridFunction:
     """Rebuild a GridFunction from to_json output.
 
-    A value count that does not match the header's grid raises ValueError
-    naming both counts.
+    A document that is not an object or lacks a key raises ValueError
+    naming the problem; so does a value count that does not match the
+    header's grid, naming both counts.
     """
     with open(path) as fh:
         doc = json.load(fh)
-    spec = GridSpec(
-        dim=doc["dim"], extent=doc["extent"], points_per_axis=doc["points_per_axis"]
-    )
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: the file holds a JSON {type(doc).__name__}, not a grid object")
+    header = [field.name for field in fields(GridSpec)]
+    missing = [key for key in [*header, "values"] if key not in doc]
+    if missing:
+        raise ValueError(f"{path}: the grid object lacks {', '.join(missing)}")
+    spec = GridSpec(**{key: doc[key] for key in header})
     values = np.array(doc["values"])
     expected = spec.points_per_axis**spec.dim
     if values.size != expected:

@@ -20,7 +20,7 @@ from autoconv.families import (
     poisson,
     sinc_counterexample,
 )
-from autoconv.grids import GridFunction, GridSpec, integrate, sample
+from autoconv.grids import GridFunction, GridSpec, sample, sample_with_mass
 
 
 def poisson_sample(a, L=100.0, N=2**14):
@@ -30,8 +30,7 @@ def poisson_sample(a, L=100.0, N=2**14):
 
 def gaussian_residual(mass, L=40.0, N=2**12):
     spec = GridSpec(dim=1, extent=L, points_per_axis=N)
-    raw = sample(spec, gaussian_density())
-    return GridFunction(spec=spec, values=raw.values * (mass / integrate(raw)))
+    return sample_with_mass(spec, gaussian_density(), mass)
 
 
 class TestVerify:
@@ -211,8 +210,7 @@ class TestCriticalMomentDemo:
 
     def test_asymmetric_rejected(self):
         spec = GridSpec(dim=1, extent=16.0, points_per_axis=2**10)
-        raw = sample(spec, lambda x: np.exp(-((x - 1.0) ** 2)))
-        u = GridFunction(spec=spec, values=raw.values * (0.1 / integrate(raw)))
+        u = sample_with_mass(spec, lambda x: np.exp(-((x - 1.0) ** 2)), 0.1)
         with pytest.raises(ValueError, match="symmetric"):
             critical_moment_theorem_demo(u)
 

@@ -6,6 +6,7 @@ import pytest
 
 from autoconv import analyze, clt, construct, families, grids
 from autoconv.cli import main
+from oracles import write_rows_per_cell
 
 
 def read_report(out_dir, command):
@@ -88,9 +89,7 @@ def test_construct_from_file_round_trip(tmp_path):
 
 def test_construct_input_inside_mass_tolerance_builds_both_routes(tmp_path, capsys):
     spec = grids.GridSpec(dim=1, extent=40.0, points_per_axis=1024)
-    raw = grids.sample(spec, families.gaussian_density())
-    mass = 0.25 * (1.0 + 1e-7)
-    u = grids.GridFunction(spec=spec, values=raw.values * (mass / grids.integrate(raw)))
+    u = grids.sample_with_mass(spec, families.gaussian_density(), 0.25 * (1.0 + 1e-7))
     grids.to_csv(u, tmp_path / "u.csv")
     code = main(
         [
@@ -257,15 +256,31 @@ def test_json_grid_file_count_mismatch_rejected(tmp_path, capsys):
     assert "needs 8 values, the file holds 3" in json.loads(out)["error"]
 
 
-def test_malformed_grid_file_rejected(tmp_path, capsys):
-    rows = ["x1,value"] + [f"{x},0.05" for x in (-4, -3, -2, -1, 0, 2, 1, 3)]
-    bad = tmp_path / "bad.csv"
-    bad.write_text("\n".join(rows) + "\n")
-    code = main(["verify", "--input", str(bad), "--out-dir", str(tmp_path)])
+@pytest.mark.parametrize(
+    "name,text,problem",
+    [
+        (
+            "bad.csv",
+            "x1,value\n" + "".join(f"{x},0.05\n" for x in (-4, -3, -2, -1, 0, 2, 1, 3)),
+            "data row 6",
+        ),
+        ("bad.csv", "x1,value\n", "no data rows"),
+        ("bad.csv", "value\n0.1\n0.2\n", "no coordinate column"),
+        ("bad.json", "[0.1, 0.2]", "holds a JSON list, not a grid object"),
+        ("bad.json", '{"dim": 1, "extent": 4.0, "values": [0.1]}', "lacks points_per_axis"),
+    ],
+    ids=["scrambled_rows", "header_only", "value_column_only", "json_list", "json_missing_key"],
+)
+@pytest.mark.filterwarnings("ignore:loadtxt. input contained no data:UserWarning")
+def test_malformed_grid_file_rejected(tmp_path, capsys, name, text, problem):
+    bad = tmp_path / name
+    bad.write_text(text)
+    code = main(["verify", "--input", str(bad), "--out-dir", str(tmp_path / "out")])
     assert code == 1
     out = capsys.readouterr().out.strip()
     assert len(out.splitlines()) == 1
-    assert "data row 6" in json.loads(out)["error"]
+    assert problem in json.loads(out)["error"]
+    assert not list((tmp_path / "out").glob("*.csv"))
 
 
 def test_determinism_and_config_echo(tmp_path):
@@ -413,22 +428,6 @@ def test_usage_error(capsys):
     assert "error" in json.loads(capsys.readouterr().out)
 
 
-# Oracle: the per-cell CSV writer the CLI used before grids.write_csv.
-def reference_format_cell(v):
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, str):
-        return v
-    return f"{float(v):.17g}"
-
-
-def reference_write_rows(path, header, rows):
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(reference_format_cell(v) for v in row) + "\n")
-
-
 @pytest.mark.parametrize("chunk", [7, grids.CSV_CHUNK_ROWS])
 def test_writer_matches_per_cell_writer_on_mixed_columns(tmp_path, monkeypatch, chunk):
     # signed zero, the smallest subnormal, huge values and both sides of
@@ -445,7 +444,7 @@ def test_writer_matches_per_cell_writer_on_mixed_columns(tmp_path, monkeypatch, 
     ]
     header = ["i", "big", "x", "blank", "y"]
     grids.write_csv(tmp_path / "new.csv", header, columns)
-    reference_write_rows(tmp_path / "old.csv", header, zip(*columns))
+    write_rows_per_cell(tmp_path / "old.csv", header, zip(*columns))
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
@@ -465,7 +464,7 @@ def test_verify_csv_matches_per_cell_writer(tmp_path, d, L, N):
         *([grid.ravel() for grid in spec.node_grids()] + [f.values.ravel(), residual.values.ravel()])
     )
     header = [f"x{i + 1}" for i in range(d)] + ["f", "residual"]
-    reference_write_rows(tmp_path / "old.csv", header, rows)
+    write_rows_per_cell(tmp_path / "old.csv", header, rows)
     assert (tmp_path / "verify_residual.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
@@ -483,7 +482,7 @@ def test_moments_csv_matches_per_cell_writer(tmp_path):
     for p in (1.0, 0.5):
         rep = analyze.moment_scan(f, p, levels=4)
         rows += [(rep.order, r, v) for r, v in zip(rep.radii, rep.values)]
-    reference_write_rows(tmp_path / "old.csv", ["p", "radius", "truncated_moment"], rows)
+    write_rows_per_cell(tmp_path / "old.csv", ["p", "radius", "truncated_moment"], rows)
     assert (tmp_path / "moments.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
@@ -510,7 +509,7 @@ def test_clt_csv_without_samples_matches_per_cell_writer(tmp_path, monkeypatch):
         for i, n in enumerate(res.n_list)
     ]
     header = ["R", "n", "p_grid", "phi", "p_mc", "mc_stderr"]
-    reference_write_rows(tmp_path / "old.csv", header, rows)
+    write_rows_per_cell(tmp_path / "old.csv", header, rows)
     new = (tmp_path / "clt.csv").read_bytes()
     assert new == (tmp_path / "old.csv").read_bytes()
     assert new.splitlines()[1].endswith(b",,")
@@ -601,8 +600,7 @@ _SPEC = grids.GridSpec(dim=1, extent=16.0, points_per_axis=256)
 
 
 def _residual(mass):
-    raw = grids.sample(_SPEC, families.gaussian_density())
-    return grids.GridFunction(spec=_SPEC, values=raw.values * (mass / grids.integrate(raw)))
+    return grids.sample_with_mass(_SPEC, families.gaussian_density(), mass)
 
 
 def _grid_header_file(tmp_path, **header):

@@ -14,13 +14,12 @@ from autoconv.construct import (
     default_epsilon,
 )
 from autoconv.families import PoissonParams, gaussian_density, poisson
-from autoconv.grids import GridFunction, GridSpec, integrate, sample
+from autoconv.grids import GridFunction, GridSpec, integrate, sample, sample_with_mass
 
 
 def gaussian_residual(mass, L=40.0, N=2**12):
     spec = GridSpec(dim=1, extent=L, points_per_axis=N)
-    raw = sample(spec, gaussian_density())
-    return GridFunction(spec=spec, values=raw.values * (mass / integrate(raw)))
+    return sample_with_mass(spec, gaussian_density(), mass)
 
 
 def zero_residual(L=16.0, N=2**10):
@@ -57,8 +56,7 @@ class TestBuildSeries:
     @pytest.mark.parametrize("dim, n", [(1, 2**10), (2, 16)])
     def test_critical_matches_complex_reference(self, dim, n):
         spec = GridSpec(dim=dim, extent=40.0, points_per_axis=n)
-        raw = sample(spec, gaussian_density(sigma=2.0))
-        u = GridFunction(spec=spec, values=raw.values * (0.25 / integrate(raw)))
+        u = sample_with_mass(spec, gaussian_density(sigma=2.0), 0.25)
         build = build_series(u)
         n_terms, tail_l1, tail_sup, solution = reference_series(u)
         assert build.n_terms == n_terms
@@ -167,8 +165,7 @@ class TestBuildSeries:
     @pytest.mark.parametrize("dim, n", [(1, 256), (2, 16), (3, 8)])
     def test_every_inverse_transform_has_three_halves_n_per_axis(self, dim, n, monkeypatch):
         spec = GridSpec(dim=dim, extent=6.0, points_per_axis=n)
-        raw = sample(spec, gaussian_density())
-        u = GridFunction(spec=spec, values=raw.values * (0.1 / integrate(raw)))
+        u = sample_with_mass(spec, gaussian_density(), 0.1)
         shapes = []
         real_irfftn = np.fft.irfftn
 
@@ -193,8 +190,7 @@ class TestBuildSeries:
 
     def test_two_dimensional_build(self):
         spec = GridSpec(dim=2, extent=12.0, points_per_axis=64)
-        raw = sample(spec, gaussian_density())
-        u = GridFunction(spec=spec, values=raw.values * (0.1 / integrate(raw)))
+        u = sample_with_mass(spec, gaussian_density(), 0.1)
         build = build_series(u, epsilon=1e-5)
         predicted = 0.5 - 0.5 * math.sqrt(1.0 - 0.4)
         assert integrate(build.solution) == pytest.approx(predicted, abs=1e-3)

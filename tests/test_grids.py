@@ -24,6 +24,7 @@ from autoconv.grids import (
     to_json,
     write_csv,
 )
+from oracles import write_rows_per_cell
 
 
 def spec1(L=16.0, N=2**12):
@@ -351,6 +352,10 @@ class TestRestrict:
         g = sample(spec1(), families.gaussian_density())
         with pytest.raises(ValueError):
             restrict(g, 5.0)
+        # a hair off 8 would keep 256 nodes at a spacing a hair off the grid's
+        g = sample(spec1(L=32.0, N=2**10), families.gaussian_density())
+        with pytest.raises(ValueError, match="whole number of nodes"):
+            restrict(g, 8.000000001)
 
 
 class TestSerialization:
@@ -417,15 +422,10 @@ class TestSerialization:
         np.testing.assert_array_equal(back.values, g.values)
 
 
-# Oracle: the per-cell writer that to_csv used before write_csv, kept verbatim.
 def reference_to_csv(g, path):
-    spec = g.spec
-    cols = [grid.ravel() for grid in spec.node_grids()] + [g.values.ravel()]
-    header = ",".join([f"x{i + 1}" for i in range(spec.dim)] + ["value"])
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in zip(*cols):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    cols = [grid.ravel() for grid in g.spec.node_grids()] + [g.values.ravel()]
+    header = [f"x{i + 1}" for i in range(g.spec.dim)] + ["value"]
+    write_rows_per_cell(path, header, zip(*cols))
 
 
 # Values where %.17g is easy to get wrong: signed zero, the smallest
