@@ -296,10 +296,15 @@ def idft(s: Spectrum) -> GridFunction:
 def restrict(g: GridFunction, extent: float) -> GridFunction:
     """Central sub-window of a GridFunction at the same spacing.
 
-    The new extent must leave a whole number of nodes per axis, a count
-    GridSpec accepts (a power of two, at least 8).
+    The new extent must be no wider than the grid's and leave a whole
+    number of nodes per axis, a count GridSpec accepts (a power of two, at
+    least 8).
     """
     old = g.spec
+    if extent > old.extent:
+        raise ValueError(
+            f"extent {extent} is wider than the grid's {old.extent}; the window cannot grow"
+        )
     per_axis = old.points_per_axis * extent / old.extent
     if not per_axis.is_integer():
         raise ValueError(f"extent {extent} leaves no whole number of nodes spaced {old.spacing}")
@@ -370,7 +375,13 @@ def from_csv(path) -> GridFunction:
     ValueError saying so; a row whose coordinates miss the row-major
     centered grid by more than 1e-9 h raises ValueError naming that row.
     """
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    with open(path) as fh:
+        fh.readline()  # header
+        start = fh.tell()
+        # loadtxt warns on a file without data rows, so look for one first
+        has_rows = any(line.split("#")[0].strip() for line in fh)
+        fh.seek(start)
+        data = np.loadtxt(fh, delimiter=",", ndmin=2) if has_rows else np.empty((0, 0))
     dim = data.shape[1] - 1
     if dim < 1:
         problem = "no data rows" if data.size == 0 else "no coordinate column"

@@ -271,7 +271,7 @@ def test_json_grid_file_count_mismatch_rejected(tmp_path, capsys):
     ],
     ids=["scrambled_rows", "header_only", "value_column_only", "json_list", "json_missing_key"],
 )
-@pytest.mark.filterwarnings("ignore:loadtxt. input contained no data:UserWarning")
+@pytest.mark.filterwarnings("error")
 def test_malformed_grid_file_rejected(tmp_path, capsys, name, text, problem):
     bad = tmp_path / name
     bad.write_text(text)

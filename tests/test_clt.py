@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from autoconv.clt import (
     run_experiment,
     run_experiments,
 )
-from autoconv.families import gaussian_density, heavy_tail_density
+from autoconv.families import gaussian_density, heavy_tail_density, heavy_tail_sampler
 from autoconv.grids import GridFunction, GridSpec, integrate, sample
 
 
@@ -278,3 +280,98 @@ class TestRunExperiments:
     def test_radii_must_be_finite_and_positive(self, radii):
         with pytest.raises(ValueError, match="radii"):
             run_experiments("finite_variance", radii, n_list=(4,), mc_samples=0)
+
+
+def set_cores(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+class TestOverlap:
+    """The Monte Carlo half runs on a worker thread when cores allow."""
+
+    @pytest.mark.parametrize("mc_samples", [0, 3_000])
+    @pytest.mark.parametrize("kind", ["finite_variance", "infinite_variance"])
+    def test_results_do_not_depend_on_overlap(self, monkeypatch, kind, mc_samples):
+        threads = []
+        real = clt._monte_carlo
+
+        def spy(*args):
+            threads.append(threading.current_thread())
+            return real(*args)
+
+        monkeypatch.setattr(clt, "_monte_carlo", spy)
+        args = dict(n_list=(4, 9), mc_samples=mc_samples, seed=21)
+        radii = (1.0, 0.5, 1.0)
+        set_cores(monkeypatch, 2)
+        overlapped = run_experiments(kind, radii, **args)
+        on_worker = list(threads)
+        set_cores(monkeypatch, 1)
+        threads.clear()
+        serial = run_experiments(kind, radii, **args)
+        assert overlapped == serial
+        if mc_samples:
+            assert on_worker[0] is not threading.main_thread()
+            assert threads == [threading.main_thread()]
+        else:
+            assert on_worker == threads == []
+            assert serial[0].mc_values == ()
+
+    def test_cpu_count_without_affinity_call(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert clt._usable_cores() == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert clt._usable_cores() == 4
+
+    def test_grid_error_stops_and_joins_the_worker(self, monkeypatch, heavy):
+        set_cores(monkeypatch, 2)
+        started = threading.Event()
+        chunks = []
+
+        def sampler(rng, size):
+            chunks.append(size)
+            started.set()
+            return heavy_tail_sampler(rng, size)
+
+        def density(w, n):
+            if n > 4:
+                assert started.wait(timeout=60)
+                raise ArithmeticError("grid half failed")
+            return heavy
+
+        monkeypatch.setattr(clt, "heavy_tail_sampler", sampler)
+        monkeypatch.setattr(clt, "rescaled_density", density)
+        mc_samples = 100_000
+        n_list = (4, 16, 64, 256)
+        before = threading.active_count()
+        with pytest.raises(ArithmeticError, match="grid half failed"):
+            run_experiments("infinite_variance", (1.0,), n_list, mc_samples, seed=3)
+        assert threading.active_count() == before
+        full = sum(-(-mc_samples // (clt._MC_CHUNK // n)) for n in n_list)
+        assert 1 <= len(chunks) < full
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_sampler_error_reaches_the_caller(self, monkeypatch, cores):
+        set_cores(monkeypatch, cores)
+
+        def sampler(rng, size):
+            raise FloatingPointError("sampler failed")
+
+        monkeypatch.setattr(clt, "heavy_tail_sampler", sampler)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="sampler failed"):
+            run_experiments("infinite_variance", (1.0,), (4,), mc_samples=10, seed=3)
+        assert threading.active_count() == before
+
+    def test_chunks_hold_at_most_mc_chunk_draws(self, monkeypatch):
+        sizes = []
+
+        def sampler(rng, size):
+            sizes.append(size)
+            return heavy_tail_sampler(rng, size)
+
+        monkeypatch.setattr(clt, "heavy_tail_sampler", sampler)
+        n_list, mc_samples = (4, 16), 300_001
+        run_experiments("infinite_variance", (1.0,), n_list, mc_samples, seed=3)
+        assert max(rows * n for rows, n in sizes) <= clt._MC_CHUNK
+        assert sum(rows * n for rows, n in sizes) == mc_samples * sum(n_list)

@@ -357,6 +357,12 @@ class TestRestrict:
         with pytest.raises(ValueError, match="whole number of nodes"):
             restrict(g, 8.000000001)
 
+    def test_window_cannot_grow(self):
+        # 32 leaves a whole number of nodes (2048), but the grid holds 1024
+        g = sample(spec1(L=16.0, N=2**10), families.gaussian_density())
+        with pytest.raises(ValueError, match="cannot grow"):
+            restrict(g, 32.0)
+
 
 class TestSerialization:
     def test_csv_round_trip(self, tmp_path, gauss):
@@ -388,6 +394,14 @@ class TestSerialization:
         back = from_csv(path)
         assert back.spec == spec
         np.testing.assert_array_equal(back.values, g.values)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text", ["x1,value\n", "x1,value", "x1,value\n\n# none\n"])
+    def test_csv_without_rows_rejected_without_warning(self, tmp_path, text):
+        path = tmp_path / "g.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="no data rows"):
+            from_csv(path)
 
     def test_csv_scrambled_rows_rejected(self, tmp_path):
         g = sample(GridSpec(dim=1, extent=4.0, points_per_axis=8), families.gaussian_density())
