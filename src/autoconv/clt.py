@@ -141,31 +141,24 @@ def phi_functional(density: GridFunction) -> float:
     return float(np.sum(weights * density.values) * density.spec.cell_volume)
 
 
-def _scaled_sums(sampler, n: int, replicates: int, rng: np.random.Generator):
-    """|X_1 + ... + X_n| / sqrt(n) for each replicate, one chunk at a time.
-
-    A chunk holds at most _MC_CHUNK scalar draws, so memory stays bounded
-    however many replicates are asked for.
-    """
-    chunk = max(1, _MC_CHUNK // n)
-    scale = 1.0 / math.sqrt(n)
-    for done in range(0, replicates, chunk):
-        draws = sampler(rng, (min(chunk, replicates - done), n))
-        yield np.abs(draws.sum(axis=1)) * scale
-
-
 def _monte_carlo(sampler, radii, n_list, mc_samples, seed, stop: threading.Event):
     """Monte Carlo ball masses and standard errors, one list per radius.
 
-    Each n draws from its own stream spawned from seed.  A set stop event
-    ends the run between chunks and returns None.
+    Each n draws from its own stream spawned from seed, at most _MC_CHUNK
+    scalars at a time.  A set stop event ends the run between chunks and
+    returns None.
     """
     mc_values: list[list[float]] = [[] for _ in radii]
     mc_stderr: list[list[float]] = [[] for _ in radii]
     streams = np.random.SeedSequence(seed).spawn(len(n_list))
-    for n, stream in zip(n_list, streams):
+    for n, stream in zip(map(int, n_list), streams):
+        rng = np.random.default_rng(stream)
+        chunk = max(1, _MC_CHUNK // n)
+        scale = 1.0 / math.sqrt(n)
         hits = [0] * len(radii)
-        for sums in _scaled_sums(sampler, int(n), mc_samples, np.random.default_rng(stream)):
+        for done in range(0, mc_samples, chunk):
+            rows = min(chunk, mc_samples - done)
+            sums = np.abs(sampler(rng, (rows, n)).sum(axis=1)) * scale
             hits = [h + int(np.count_nonzero(sums <= r)) for h, r in zip(hits, radii)]
             if stop.is_set():
                 return None
@@ -174,6 +167,23 @@ def _monte_carlo(sampler, radii, n_list, mc_samples, seed, stop: threading.Event
             values.append(p)
             errors.append(math.sqrt(p * (1.0 - p) / mc_samples))
     return mc_values, mc_stderr
+
+
+def _summand(w_kind: str):
+    """Grid, evaluator, sampler and radius -> limit ball mass (None: escapes)."""
+    if w_kind == "finite_variance":
+        half = math.sqrt(3.0)
+
+        def evaluator(x):
+            return np.where(np.abs(x) <= half, 1.0 / (2.0 * half), 0.0)
+
+        def sampler(rng, size):
+            return rng.uniform(-half, half, size)
+
+        return FINITE_VARIANCE_GRID, evaluator, sampler, lambda r: math.erf(r / math.sqrt(2.0))
+    if w_kind == "infinite_variance":
+        return INFINITE_VARIANCE_GRID, heavy_tail_density(), heavy_tail_sampler, lambda r: None
+    raise ValueError(f"unknown w_kind {w_kind!r}")
 
 
 def _usable_cores() -> int:
@@ -210,24 +220,7 @@ def run_experiments(
         raise ValueError("n_list must be strictly increasing")
     if mc_samples < 0:
         raise ValueError(f"mc_samples must be nonnegative (0 skips), got {mc_samples}")
-    if w_kind == "finite_variance":
-        spec = FINITE_VARIANCE_GRID
-        half = math.sqrt(3.0)
-
-        def evaluator(x):
-            return np.where(np.abs(x) <= half, 1.0 / (2.0 * half), 0.0)
-
-        def sampler(rng, size):
-            return rng.uniform(-half, half, size)
-
-        targets = [math.erf(r / math.sqrt(2.0)) for r in radii]
-    elif w_kind == "infinite_variance":
-        spec = INFINITE_VARIANCE_GRID
-        evaluator = heavy_tail_density()
-        sampler = heavy_tail_sampler
-        targets = [None] * len(radii)
-    else:
-        raise ValueError(f"unknown w_kind {w_kind!r}")
+    spec, evaluator, sampler, limit = _summand(w_kind)
     raw = sample(spec, evaluator)
     density = GridFunction(spec=spec, values=raw.values / integrate(raw))
     del raw  # unnormalised samples; kept alive they would raise the peak memory
@@ -235,12 +228,11 @@ def run_experiments(
     p_values: list[list[float]] = [[] for _ in radii]
     phi_values = []
     stop = threading.Event()
-    mc_args = (sampler, radii, n_list, mc_samples, seed, stop)
-    outcome = {}
+    outcome = {"result": ([[] for _ in radii], [[] for _ in radii])}
 
     def draw():
         try:
-            outcome["result"] = _monte_carlo(*mc_args)
+            outcome["result"] = _monte_carlo(sampler, radii, n_list, mc_samples, seed, stop)
         except BaseException as exc:  # re-raised in the calling thread
             outcome["error"] = exc
 
@@ -266,12 +258,11 @@ def run_experiments(
             worker.join()
     notes = tuple(str(w.message) for w in caught)
 
+    if worker is None and mc_samples > 0:
+        draw()
     if "error" in outcome:
         raise outcome["error"]
-    if mc_samples == 0:
-        mc_values, mc_stderr = [[] for _ in radii], [[] for _ in radii]
-    else:
-        mc_values, mc_stderr = outcome["result"] if worker else _monte_carlo(*mc_args)
+    mc_values, mc_stderr = outcome["result"]
 
     return tuple(
         CltResult(
@@ -283,10 +274,10 @@ def run_experiments(
             mc_stderr=tuple(se),
             variance_class="finite" if w_kind == "finite_variance" else "infinite",
             seed=seed,
-            gaussian_target=target,
+            gaussian_target=limit(radius),
             notes=notes,
         )
-        for radius, target, p, mc, se in zip(radii, targets, p_values, mc_values, mc_stderr)
+        for radius, p, mc, se in zip(radii, p_values, mc_values, mc_stderr)
     )
 
 

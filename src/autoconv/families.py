@@ -90,7 +90,9 @@ def sinc_counterexample(params: SincParams):
     """
     a = params.a
 
-    def evaluator(x):
+    def evaluator(x, *more):
+        if more:
+            raise ValueError("sinc_counterexample is one-dimensional")
         x = np.asarray(x, dtype=np.float64)
         safe = np.where(x == 0.0, 1.0, x)
         return np.where(x == 0.0, 2.0 * a, np.sin(2.0 * math.pi * a * x) / (math.pi * safe))
@@ -140,7 +142,9 @@ def heavy_tail_density():
     2 log R.
     """
 
-    def evaluator(x):
+    def evaluator(x, *more):
+        if more:
+            raise ValueError("heavy_tail_density is one-dimensional")
         return (1.0 + np.abs(np.asarray(x, dtype=np.float64))) ** -3.0
 
     return evaluator

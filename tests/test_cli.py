@@ -693,6 +693,25 @@ def test_family_writes_the_library_function(tmp_path, name, evaluator):
     assert results["mass"] == grids.integrate(want)
 
 
+@pytest.mark.parametrize(
+    "command,name,dim",
+    [
+        ("family", "sinc", "2"),
+        ("family", "heavy_tail", "2"),
+        ("family", "reverse", "2"),
+        ("verify", "heavy_tail", "3"),
+    ],
+)
+def test_one_dimensional_family_on_higher_d_grid(tmp_path, capsys, command, name, dim):
+    argv = [command, "--family", name, "--d", dim, "--N", "16", "--L", "4"]
+    argv += ["--out-dir", str(tmp_path)]
+    assert main(argv) == 1
+    out = capsys.readouterr().out.strip()
+    assert len(out.splitlines()) == 1
+    assert json.loads(out)["error"].endswith("is one-dimensional")
+    assert not list(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.parametrize("residual", ["gaussian", "bump", "poisson_margin"])
 def test_construct_spectral_only(tmp_path, residual):
     argv = [

@@ -83,6 +83,33 @@ def test_partial_sums_strictly_increasing_below_one(big_table):
     assert sums[-1] < 1.0
 
 
+# n <= 300 and 40 log-spaced n up to 2e4, where the exact remainder is
+# still cheap, and n = 9,999, where a blockwise compensated sum erred by
+# 39 ulp.
+EXACT_NS = sorted({*range(1, 301), 9999, *np.geomspace(301, 20_000, 40).astype(int).tolist()})
+
+
+def exact_remainder(n: int) -> Fraction:
+    """1 - S_n = C(2n, n) / 4^n as an exact rational."""
+    return Fraction(math.comb(2 * n, n), 4**n)
+
+
+def test_partial_sums_within_two_ulp_of_exact(big_table):
+    # One rounding of 1 - (2n+2) c_{n+1}, plus the recurrence's own error in
+    # c_{n+1}: at most 1.1 ulp of S_n for n <= 10^6.
+    for n in EXACT_NS:
+        exact = 1 - exact_remainder(n)
+        error = abs(Fraction(float(big_table.partial_sums[n - 1])) - exact)
+        assert error <= 2 * Fraction(float(np.spacing(float(exact)))), n
+
+
+def test_critical_tail_matches_exact_remainder(big_table):
+    for n in EXACT_NS:
+        exact = exact_remainder(n)
+        error = abs(Fraction(tail_bound(big_table, n, 1.0)) - exact)
+        assert error <= Fraction(1, 10**13) * exact, n
+
+
 def test_tail_asymptotic_law(big_table):
     for n in (10**4, 10**5, 10**6):
         tail = 1.0 - big_table.partial_sums[n - 1]

@@ -141,6 +141,21 @@ class TestReverseExample:
                 reverse_example(self.spec(), 2.0, delta)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda spec: reverse_example(spec, 2.0, 0.0),
+        lambda spec: sample(spec, sinc_counterexample(SincParams(a=0.4))),
+        lambda spec: sample(spec, heavy_tail_density()),
+    ],
+    ids=["reverse", "sinc", "heavy_tail"],
+)
+def test_one_dimensional_families_refuse_higher_dimensions(build, dim):
+    with pytest.raises(ValueError, match="is one-dimensional"):
+        build(GridSpec(dim=dim, extent=4.0, points_per_axis=16))
+
+
 class TestHeavyTail:
     def test_exact_unit_mass(self):
         # closed form: 2 * integral_0^inf (1+x)^-3 dx = 1
