@@ -129,7 +129,7 @@ def _run_coeffs(cfg, out_dir: Path):
         "n_max": table.n_max,
         "first_values": [float(v) for v in table.values[:10]],
         "final_partial_sum": float(table.partial_sums[-1]),
-        "tail_remainder": float(1.0 - table.partial_sums[-1]),
+        "tail_remainder": coeffs.remainder(table.n_max),
     }
     return results, 0
 

@@ -19,7 +19,6 @@ do not depend on whether the halves overlap.
 from __future__ import annotations
 
 import math
-import os
 import threading
 import warnings
 from dataclasses import dataclass
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import heavy_tail_density, heavy_tail_sampler
-from .grids import GridFunction, GridSpec, Spectrum, idft, integrate, sample
+from .grids import GridFunction, GridSpec, Spectrum, idft, integrate, sample, usable_cores
 
 DENSITY_CLAMP = 1e-8
 MASS_WARN = 0.02
@@ -186,13 +185,6 @@ def _summand(w_kind: str):
     raise ValueError(f"unknown w_kind {w_kind!r}")
 
 
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def run_experiments(
     w_kind: str,
     radii: tuple[float, ...],
@@ -237,7 +229,7 @@ def run_experiments(
             outcome["error"] = exc
 
     worker = None
-    if mc_samples > 0 and _usable_cores() > 1:
+    if mc_samples > 0 and usable_cores() > 1:
         worker = threading.Thread(target=draw, name="clt-monte-carlo", daemon=True)
         worker.start()
     try:

@@ -21,8 +21,11 @@ in place of an imaginary-residue check.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, fields
 from typing import Callable
 
@@ -320,6 +323,44 @@ def restrict(g: GridFunction, extent: float) -> GridFunction:
 # ----------------------------------------------------------------------
 
 
+def usable_cores() -> int:
+    """Cores this process may run on: its affinity set, else os.cpu_count()."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _format_block(row_fmt: str, cols: list, axes: list, bounds: tuple[int, int]) -> str:
+    """CSV text of rows [start, stop) of one write_csv table.
+
+    axes holds (stride, formatted nodes) per grid coordinate; each row
+    picks its node strings by index, then one cell from every column.
+    """
+    start, stop = bounds
+    width = len(axes) + len(cols)
+    cells = [None] * (width * (stop - start))
+    index = np.arange(start, stop)
+    for k, (stride, nodes) in enumerate(axes):
+        cells[k::width] = nodes[index // stride % nodes.size].tolist()
+    for k, c in enumerate(cols, start=len(axes)):
+        cells[k::width] = c[start:stop].tolist()
+    return (row_fmt * (stop - start)) % tuple(cells)
+
+
+# The formatter of the table a write_csv pool serves, set in each worker.
+_worker_formatter: Callable[[tuple[int, int]], str] | None = None
+
+
+def _install_formatter(formatter: Callable[[tuple[int, int]], str]) -> None:
+    global _worker_formatter
+    _worker_formatter = formatter
+
+
+def _format_in_worker(bounds: tuple[int, int]) -> str:
+    return _worker_formatter(bounds)
+
+
 def write_csv(path, header, columns, spec: GridSpec | None = None) -> None:
     """Write a header line and one row per entry of equal-length columns.
 
@@ -331,6 +372,18 @@ def write_csv(path, header, columns, spec: GridSpec | None = None) -> None:
     value per node; each axis node is formatted once and rows pick theirs
     by index.  Rows are formatted CSV_CHUNK_ROWS at a time by a single
     string % operation, which keeps memory bounded for any row count.
+
+    When the table has more than one block, more than one core is usable
+    and the "fork" start method exists, min(cores, blocks) forked pool
+    workers format the blocks and this process writes each block's text in
+    block order as it arrives; otherwise the same per-block formatter runs
+    inline.  The bytes are the same either way.  Fork, not spawn: the
+    workers inherit the columns instead of receiving a pickled copy, and
+    they call no BLAS, whose thread pool numpy's OpenBLAS shuts down across
+    a fork.  No worker outlives the call, and an error in one reaches the
+    caller.  On Python >= 3.12 os.fork warns (DeprecationWarning) when the
+    process has other OS threads, the OpenBLAS pool among them; the default
+    filters show that warning only in __main__.
     """
     cols = [np.asarray(c).ravel() for c in columns]
     fmts = [
@@ -338,28 +391,31 @@ def write_csv(path, header, columns, spec: GridSpec | None = None) -> None:
         for c in cols
     ]
     rows = cols[0].size if cols else 0
-    strides = []
+    axes = []
     if spec is not None:
         n = spec.points_per_axis
         rows = n**spec.dim
-        strides = [n ** (spec.dim - 1 - a) for a in range(spec.dim)]
         nodes = np.array(["%.17g" % x for x in spec.axis_nodes().tolist()], dtype=object)
+        axes = [(n ** (spec.dim - 1 - a), nodes) for a in range(spec.dim)]
         fmts = ["%s"] * spec.dim + fmts
     if any(c.size != rows for c in cols):
         raise ValueError(f"columns hold {[c.size for c in cols]} values, need {rows} each")
-    row_fmt = ",".join(fmts) + "\n"
-    width = len(fmts)
-    with open(path, "w") as fh:
+    formatter = functools.partial(_format_block, ",".join(fmts) + "\n", cols, axes)
+    starts = range(0, rows, CSV_CHUNK_ROWS)
+    blocks = [(start, min(start + CSV_CHUNK_ROWS, rows)) for start in starts]
+    workers = min(usable_cores(), len(blocks))
+    with contextlib.ExitStack() as stack:
+        texts = map(formatter, blocks)
+        if workers > 1:
+            import multiprocessing  # here, so that importing grids stays cheap
+
+            if "fork" in multiprocessing.get_all_start_methods():
+                fork = multiprocessing.get_context("fork")
+                pool = stack.enter_context(fork.Pool(workers, _install_formatter, (formatter,)))
+                texts = pool.imap(_format_in_worker, blocks)
+        fh = stack.enter_context(open(path, "w"))
         fh.write(",".join(header) + "\n")
-        for start in range(0, rows, CSV_CHUNK_ROWS):
-            stop = min(start + CSV_CHUNK_ROWS, rows)
-            cells = [None] * (width * (stop - start))
-            index = np.arange(start, stop)
-            for k, stride in enumerate(strides):
-                cells[k::width] = nodes[index // stride % n].tolist()
-            for k, c in enumerate(cols, start=len(strides)):
-                cells[k::width] = c[start:stop].tolist()
-            fh.write((row_fmt * (stop - start)) % tuple(cells))
+        fh.writelines(texts)
 
 
 def to_csv(g: GridFunction, path) -> None:

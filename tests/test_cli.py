@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -47,6 +48,14 @@ def test_coeffs_csv(tmp_path):
     lines = (tmp_path / "coeffs.csv").read_text().strip().splitlines()
     assert len(lines) == 5
     assert float(lines[-1].split(",")[1]) == 5.0 / 128.0
+
+
+def test_coeffs_tail_remainder_is_exact(tmp_path):
+    # 1 - S_1000 = C(2000, 1000) / 4^1000; 1 - partial_sums[-1] read ...429
+    assert main(["coeffs", "--n", "1000", "--out-dir", str(tmp_path)]) == 0
+    results = read_report(tmp_path, "coeffs")["report"]["results"]
+    assert results["tail_remainder"] == float(Fraction(math.comb(2000, 1000), 4**1000))
+    assert results["tail_remainder"] == 0.01783901114585432
 
 
 def test_construct_both_methods(tmp_path):

@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from autoconv import clt
+from autoconv import clt, grids
 from autoconv.clt import (
     _charfun_on_scaled_lattice,
     ball_mass,
@@ -319,9 +319,9 @@ class TestOverlap:
     def test_cpu_count_without_affinity_call(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert clt._usable_cores() == 1
+        assert grids.usable_cores() == 1
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        assert clt._usable_cores() == 4
+        assert grids.usable_cores() == 4
 
     def test_grid_error_stops_and_joins_the_worker(self, monkeypatch, heavy):
         set_cores(monkeypatch, 2)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from autoconv import grids
-from autoconv.coeffs import build_coeffs, dump_csv, tail_bound, terms_for_tail
+from autoconv.coeffs import build_coeffs, dump_csv, remainder, tail_bound, terms_for_tail
 from oracles import write_rows_per_cell
 
 
@@ -181,6 +181,22 @@ def test_terms_for_tail_minimal(big_table):
 def test_terms_for_tail_table_too_short():
     small = build_coeffs(16)
     assert terms_for_tail(small, 1.0, 1e-6) is None
+
+
+def test_remainder_is_the_exact_remainder_rounded():
+    # both sides of EXACT_REMAINDER_N = 1024, where the asymptotic series
+    # takes over, and the log-spaced n up to 2e4
+    for n in sorted({*EXACT_NS, *range(1000, 1100)}):
+        assert remainder(n) == float(exact_remainder(n)), n
+    # C(2 * 10^6, 10^6) / 4^(10^6) rounded from the exact integers, which take
+    # about a minute to compute, so the value is written out
+    assert remainder(10**6) == 0.0005641895130240628
+
+
+@pytest.mark.parametrize("bad", [0, -3, 2.0, None])
+def test_remainder_rejects_invalid_n(bad):
+    with pytest.raises(ValueError):
+        remainder(bad)
 
 
 def test_values_are_immutable():

@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -499,3 +501,76 @@ class TestWriteCsv:
         spec = GridSpec(dim=2, extent=1.0, points_per_axis=8)
         with pytest.raises(ValueError, match="need 64 each"):
             write_csv(tmp_path / "bad.csv", ["x1", "x2", "v"], [np.zeros(8)], spec=spec)
+
+
+def set_cores(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def mixed_columns(rows):
+    """%d, %s, big-integer (%s) and %.17g columns of the given length."""
+    ints = np.arange(rows, dtype=np.int64) * -7919
+    words = np.array([f"w{i}" for i in range(rows)], dtype=str)
+    big = np.array([2**70 + i for i in range(rows)], dtype=object)
+    floats = np.resize(np.array(AWKWARD), rows)
+    return [ints, words, big, floats]
+
+
+class TestParallelWriteCsv:
+    """Forked workers format the blocks; the bytes do not depend on the path."""
+
+    @pytest.mark.parametrize("cores", [1, 2, 4])
+    @pytest.mark.parametrize("dim,n", [(1, 8), (1, 16), (2, 8), (3, 8)])
+    @pytest.mark.parametrize("chunk", [7, 8])
+    def test_grid_tables_match_per_cell_writer(self, tmp_path, monkeypatch, cores, dim, n, chunk):
+        # blocks of 8 hold d=1 N=8 in exactly one block and tile every other
+        # grid; blocks of 7 leave a partial last block everywhere
+        set_cores(monkeypatch, cores)
+        monkeypatch.setattr(grids, "CSV_CHUNK_ROWS", chunk)
+        g = awkward_function(dim, n)
+        to_csv(g, tmp_path / "new.csv")
+        reference_to_csv(g, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cores", [1, 2, 4])
+    @pytest.mark.parametrize("rows", [0, 7, 30])
+    def test_mixed_columns_match_per_cell_writer(self, tmp_path, monkeypatch, cores, rows):
+        # no rows, exactly one block, and four full blocks plus two rows
+        set_cores(monkeypatch, cores)
+        monkeypatch.setattr(grids, "CSV_CHUNK_ROWS", 7)
+        header = ["i", "word", "big", "x"]
+        cols = mixed_columns(rows)
+        write_csv(tmp_path / "new.csv", header, cols)
+        write_rows_per_cell(tmp_path / "old.csv", header, zip(*(c.tolist() for c in cols)))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "cores,fork,forked",
+        [(1, True, False), (2, True, True), (4, True, True), (2, False, False)],
+    )
+    def test_block_error_reaches_the_caller(self, tmp_path, monkeypatch, cores, fork, forked):
+        set_cores(monkeypatch, cores)
+        if not fork:
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(grids, "CSV_CHUNK_ROWS", 7)
+        real = grids._format_block
+
+        def failing(*args):
+            if args[-1] == (14, 21):
+                raise ArithmeticError(f"block 3 failed in process {os.getpid()}")
+            return real(*args)
+
+        # set before the call, so forked workers inherit it
+        monkeypatch.setattr(grids, "_format_block", failing)
+        with pytest.raises(ArithmeticError, match="block 3 failed") as caught:
+            write_csv(tmp_path / "t.csv", ["i", "x"], [np.arange(30), np.ones(30)])
+        pid = int(str(caught.value).rsplit(" ", 1)[1])
+        assert (pid != os.getpid()) == forked
+        assert multiprocessing.active_children() == []
+        # the next call, on the real formatter, still writes the whole table
+        monkeypatch.setattr(grids, "_format_block", real)
+        write_csv(tmp_path / "t.csv", ["i"], [np.arange(30)])
+        assert (tmp_path / "t.csv").read_text() == "i\n" + "".join(f"{i}\n" for i in range(30))
+        assert multiprocessing.active_children() == []
