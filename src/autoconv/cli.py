@@ -57,13 +57,13 @@ def _sampled(evaluator):
     return lambda cfg, spec: grids.sample(spec, evaluator(cfg))
 
 
-_margin = _sampled(lambda c: families.poisson_inequality_margin(c["a"], c["t"], c["d"]))
+_margin = _sampled(lambda c: families.poisson_inequality_margin(c["a"], c["t"]))
 
 # name -> (the parameter keys it reads, builder(cfg, spec))
 _FAMILIES = {
     "poisson": (
         ("a", "t"),
-        _sampled(lambda c: families.poisson(families.PoissonParams(c["a"], c["t"], c["d"]))),
+        _sampled(lambda c: families.poisson(families.PoissonParams(c["a"], c["t"]))),
     ),
     "poisson_margin": (("a", "t"), _margin),
     "sinc": (("a",), _sampled(lambda c: families.sinc_counterexample(families.SincParams(c["a"])))),

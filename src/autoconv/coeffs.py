@@ -84,8 +84,9 @@ def tail_bound(table: CoeffTable, n_terms: int, ratio: float) -> float:
     c_{n_terms+1} ratio^{n_terms+1} / (1 - ratio) (the coefficients
     decrease) and the full remainder 1 - S_{n_terms} = (2 n_terms + 2)
     c_{n_terms+1} (valid for every ratio <= 1 since the coefficients sum
-    to 1).  The smaller one is returned; at ratio = 1 only the remainder
-    is finite and the tail equals it exactly.
+    to 1).  The smaller one is returned times 1 + 1e-12, which lifts it
+    above the exact tail however it and the table (within 3e-14 of exact,
+    see remainder) were rounded; at ratio = 1 that is the remainder.
     """
     if not 0.0 <= ratio <= 1.0:
         raise ValueError(f"ratio must lie in [0, 1], got {ratio}")
@@ -95,11 +96,10 @@ def tail_bound(table: CoeffTable, n_terms: int, ratio: float) -> float:
         )
     if ratio == 0.0:
         return 0.0
-    remainder = float((2 * n_terms + 2) * table.values[n_terms])
-    if ratio == 1.0:
-        return remainder
-    geometric = float(table.values[n_terms] * ratio ** (n_terms + 1) / (1.0 - ratio))
-    return min(geometric, remainder)
+    bound = float((2 * n_terms + 2) * table.values[n_terms])
+    if ratio < 1.0:
+        bound = min(bound, float(table.values[n_terms] * ratio ** (n_terms + 1) / (1.0 - ratio)))
+    return bound * (1.0 + 1e-12)
 
 
 def terms_for_tail(table: CoeffTable, ratio: float, bound: float) -> int | None:

@@ -27,15 +27,12 @@ class PoissonParams:
 
     a: float
     t: float
-    d: int = 1
 
     def __post_init__(self):
         for name in ("a", "t"):
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and strictly positive, got {value}")
-        if self.d not in (1, 2, 3):
-            raise ValueError(f"d must be 1, 2 or 3, got {self.d}")
 
 
 @dataclass(frozen=True)
@@ -52,19 +49,21 @@ class SincParams:
 def poisson(params: PoissonParams):
     """Evaluator of a Gamma((d+1)/2) pi^{-(d+1)/2} t / (t^2 + |x|^2)^{(d+1)/2}.
 
-    Integrates to a over R^d; its transform is a exp(-2 pi |k| t).
+    The dimension d = 1, 2 or 3 is the number of coordinates it is called
+    with.  Integrates to a over R^d; its transform is a exp(-2 pi |k| t).
     """
-    a, t, d = params.a, params.t, params.d
-    norm = a * _HALF_GAMMA[d] * math.pi ** (-(d + 1) / 2.0)
+    a, t = params.a, params.t
 
     def evaluator(*coords):
+        d = len(coords)
         r2 = sum(np.asarray(c) ** 2 for c in coords)
+        norm = a * _HALF_GAMMA[d] * math.pi ** (-(d + 1) / 2.0)
         return norm * t / (t * t + r2) ** ((d + 1) / 2.0)
 
     return evaluator
 
 
-def poisson_inequality_margin(a: float, t: float, d: int = 1):
+def poisson_inequality_margin(a: float, t: float):
     """Evaluator of the pointwise slack f_{a,t} - f_{a^2,2t}.
 
     This is the residual of the self-convolution bound for the family; it
@@ -72,8 +71,8 @@ def poisson_inequality_margin(a: float, t: float, d: int = 1):
     tails flip the sign: the slack behaves like a(1 - 2a) in the far
     field, so violations appear at large |x|, not at the origin.
     """
-    lhs = poisson(PoissonParams(a=a, t=t, d=d))
-    rhs = poisson(PoissonParams(a=a * a, t=2.0 * t, d=d))
+    lhs = poisson(PoissonParams(a=a, t=t))
+    rhs = poisson(PoissonParams(a=a * a, t=2.0 * t))
 
     def evaluator(*coords):
         return lhs(*coords) - rhs(*coords)

@@ -400,6 +400,8 @@ def write_csv(path, header, columns, spec: GridSpec | None = None) -> None:
         fmts = ["%s"] * spec.dim + fmts
     if any(c.size != rows for c in cols):
         raise ValueError(f"columns hold {[c.size for c in cols]} values, need {rows} each")
+    if len(header) != len(fmts):
+        raise ValueError(f"header names {len(header)} columns, the rows hold {len(fmts)}")
     formatter = functools.partial(_format_block, ",".join(fmts) + "\n", cols, axes)
     starts = range(0, rows, CSV_CHUNK_ROWS)
     blocks = [(start, min(start + CSV_CHUNK_ROWS, rows)) for start in starts]

@@ -467,7 +467,7 @@ def test_verify_csv_matches_per_cell_writer(tmp_path, d, L, N):
     )
     assert code == 0
     spec = grids.GridSpec(dim=d, extent=float(L), points_per_axis=int(N))
-    f = grids.sample(spec, families.poisson(families.PoissonParams(a=0.5, t=0.9, d=d)))
+    f = grids.sample(spec, families.poisson(families.PoissonParams(a=0.5, t=0.9)))
     residual = analyze.recovered_residual(f)
     rows = zip(
         *([grid.ravel() for grid in spec.node_grids()] + [f.values.ravel(), residual.values.ravel()])
@@ -486,7 +486,7 @@ def test_moments_csv_matches_per_cell_writer(tmp_path):
     )
     assert code == 0
     spec = grids.GridSpec(dim=1, extent=640.0, points_per_axis=4096)
-    f = grids.sample(spec, families.poisson(families.PoissonParams(a=0.5, t=1.0, d=1)))
+    f = grids.sample(spec, families.poisson(families.PoissonParams(a=0.5, t=1.0)))
     rows = []
     for p in (1.0, 0.5):
         rep = analyze.moment_scan(f, p, levels=4)

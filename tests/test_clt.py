@@ -160,6 +160,13 @@ class TestRescaledDensity:
         with pytest.raises(ValueError):
             rescaled_density(w, 0)
 
+    @pytest.mark.parametrize("n", [-2, 4.5, 4.0, True])
+    def test_n_must_be_a_positive_integer(self, n):
+        spec = GridSpec(dim=1, extent=16.0, points_per_axis=2**10)
+        w = normalized(spec, gaussian_density())
+        with pytest.raises(ValueError, match=f"n must be a positive integer, got {n!r}"):
+            rescaled_density(w, n)
+
     def test_mass_drift_warns(self):
         spec = GridSpec(dim=1, extent=16.0, points_per_axis=2**10)
         w = normalized(spec, gaussian_density())
@@ -256,6 +263,16 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="increasing"):
             run_experiment("finite_variance", n_list=(16, 4))
 
+    @pytest.mark.parametrize("n", [4.5, math.nan, True, 0])
+    def test_n_list_entries_must_be_positive_integers(self, n):
+        with pytest.raises(ValueError, match=f"positive integers, got {n!r}"):
+            run_experiment("finite_variance", n_list=(n, 16), mc_samples=0)
+
+    def test_integral_floats_in_n_list_count_as_integers(self):
+        result = run_experiment("infinite_variance", n_list=(4.0,), mc_samples=500, seed=2)
+        assert result.n_list == (4,) and type(result.n_list[0]) is int
+        assert result == run_experiment("infinite_variance", n_list=(4,), mc_samples=500, seed=2)
+
 
 class TestRunExperiments:
     @pytest.mark.parametrize("kind", ["finite_variance", "infinite_variance"])
@@ -287,7 +304,7 @@ def set_cores(monkeypatch, count):
 
 
 class TestOverlap:
-    """The Monte Carlo half runs on a worker thread when cores allow."""
+    """The Monte Carlo half runs on a worker thread, beside the grid half when cores allow."""
 
     @pytest.mark.parametrize("mc_samples", [0, 3_000])
     @pytest.mark.parametrize("kind", ["finite_variance", "infinite_variance"])
@@ -300,21 +317,22 @@ class TestOverlap:
             return real(*args)
 
         monkeypatch.setattr(clt, "_monte_carlo", spy)
-        args = dict(n_list=(4, 9), mc_samples=mc_samples, seed=21)
-        radii = (1.0, 0.5, 1.0)
-        set_cores(monkeypatch, 2)
-        overlapped = run_experiments(kind, radii, **args)
-        on_worker = list(threads)
-        set_cores(monkeypatch, 1)
-        threads.clear()
-        serial = run_experiments(kind, radii, **args)
-        assert overlapped == serial
-        if mc_samples:
-            assert on_worker[0] is not threading.main_thread()
-            assert threads == [threading.main_thread()]
-        else:
-            assert on_worker == threads == []
-            assert serial[0].mc_values == ()
+        n_list, radii, seed = (4, 9), (1.0, 0.5, 1.0), 21
+        grid_only = run_experiments(kind, radii, n_list, mc_samples=0, seed=seed)
+        sampler = clt._summand(kind)[2]
+        for cores in (2, 1):
+            set_cores(monkeypatch, cores)
+            threads.clear()
+            results = run_experiments(kind, radii, n_list, mc_samples, seed)
+            assert [r.p_values for r in results] == [r.p_values for r in grid_only]
+            assert [r.phi_values for r in results] == [r.phi_values for r in grid_only]
+            if not mc_samples:
+                assert threads == [] and results[0].mc_values == ()
+                continue
+            assert len(threads) == 1 and threads[0] is not threading.main_thread()
+            values, errors = real(sampler, radii, n_list, mc_samples, seed, threading.Event())
+            assert [r.mc_values for r in results] == [tuple(v) for v in values]
+            assert [r.mc_stderr for r in results] == [tuple(e) for e in errors]
 
     def test_cpu_count_without_affinity_call(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)

@@ -106,8 +106,26 @@ def test_partial_sums_within_two_ulp_of_exact(big_table):
 def test_critical_tail_matches_exact_remainder(big_table):
     for n in EXACT_NS:
         exact = exact_remainder(n)
-        error = abs(Fraction(tail_bound(big_table, n, 1.0)) - exact)
-        assert error <= Fraction(1, 10**13) * exact, n
+        bound = Fraction(tail_bound(big_table, n, 1.0))
+        # the exact tail lifted by the 1e-12 safety factor, give or take 1e-13
+        assert exact < bound <= exact * (1 + Fraction(11, 10**13)), n
+
+
+def test_tail_bound_is_above_exact_rational_tails(big_table):
+    # sum_n c_n r^n = 1 - sqrt(1 - r) is rational at these ratios, so each
+    # tail is an exact rational: the bound must not round below it.
+    checkpoints = (1, 2, 10, 100, 796, 2000)
+    for ratio, root in ((Fraction(1), 0), (Fraction(3, 4), Fraction(1, 2)),
+                        (Fraction(15, 16), Fraction(1, 4)), (Fraction(255, 256), Fraction(1, 16))):
+        tail = 1 - root  # the sum minus the partial sums S_N(r) so far
+        c, power = Fraction(1, 2), ratio
+        for n in range(1, checkpoints[-1] + 1):
+            tail -= c * power
+            if n in checkpoints:
+                bound = Fraction(tail_bound(big_table, n, float(ratio)))
+                assert tail < bound, (ratio, n)
+                assert ratio < 1 or bound <= tail * (1 + Fraction(11, 10**13)), n
+            c, power = c * (2 * n - 1) / (2 * n + 2), power * ratio
 
 
 def test_tail_asymptotic_law(big_table):
@@ -136,7 +154,8 @@ def test_tail_bound_zero_ratio(big_table):
 
 def test_tail_bound_critical_equals_remainder(big_table):
     bound = tail_bound(big_table, 10, 1.0)
-    assert bound == 1.0 - big_table.partial_sums[9]
+    remainder_10 = 1.0 - big_table.partial_sums[9]
+    assert remainder_10 < bound <= remainder_10 * (1.0 + 2e-12)
     # Direct summation oracle: the table's own remainder plus the known
     # law for everything beyond it approaches the bound from below.
     partial_tail = math.fsum(big_table.values[10:])

@@ -40,19 +40,45 @@ class TestPoisson:
         assert integrate(g) == pytest.approx(oracle, abs=1e-6)
 
     def test_origin_value_d2(self):
-        ev = poisson(PoissonParams(a=0.4, t=1.5, d=2))
+        ev = poisson(PoissonParams(a=0.4, t=1.5))
         got = float(ev(np.array(0.0), np.array(0.0)))
         assert got == pytest.approx(0.4 / (2.0 * math.pi * 1.5**2), rel=1e-12)
 
     def test_mass_d2(self):
         spec = GridSpec(dim=2, extent=64.0, points_per_axis=2**9)
-        g = sample(spec, poisson(PoissonParams(a=0.5, t=1.0, d=2)))
+        g = sample(spec, poisson(PoissonParams(a=0.5, t=1.0)))
         assert integrate(g) == pytest.approx(0.5, rel=0.05)
 
     @pytest.mark.parametrize("a,t", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)])
     def test_invalid_params(self, a, t):
         with pytest.raises(ValueError):
             PoissonParams(a=a, t=t)
+
+
+def poisson_mass_outside_ball(a, t, d, radius):
+    """Exact mass of the kernel f_{a,t} on R^d outside the ball |x| <= radius."""
+    s = radius / t
+    inside = {
+        1: 2.0 / math.pi * math.atan(s),
+        2: 1.0 - 1.0 / math.hypot(1.0, s),
+        3: 2.0 / math.pi * (math.atan(s) - s / (1.0 + s * s)),
+    }[d]
+    return a * (1.0 - inside)
+
+
+@pytest.mark.parametrize("d,L,N", [(1, 400.0, 2**14), (2, 64.0, 2**9), (3, 16.0, 64)])
+def test_kernel_and_margin_take_their_dimension_from_the_grid(d, L, N):
+    # The window holds the ball of radius L, so each kernel's grid mass
+    # lies between a minus its exact mass outside that ball and a, up to
+    # the spectrally small quadrature error (t/h >= 2).
+    a, t, quad = 0.4, 1.0, 1e-6
+    spec = GridSpec(dim=d, extent=L, points_per_axis=N)
+    kernel = integrate(sample(spec, poisson(PoissonParams(a=a, t=t))))
+    assert a - poisson_mass_outside_ball(a, t, d, L) - quad <= kernel <= a + quad
+    margin = integrate(sample(spec, poisson_inequality_margin(a, t)))
+    low = a - a * a - poisson_mass_outside_ball(a, t, d, L) - quad
+    high = a - a * a + poisson_mass_outside_ball(a * a, 2 * t, d, L) + quad
+    assert low <= margin <= high
 
 
 class TestPoissonMargin:

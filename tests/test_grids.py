@@ -502,6 +502,14 @@ class TestWriteCsv:
         with pytest.raises(ValueError, match="need 64 each"):
             write_csv(tmp_path / "bad.csv", ["x1", "x2", "v"], [np.zeros(8)], spec=spec)
 
+    def test_header_counts_checked(self, tmp_path):
+        with pytest.raises(ValueError, match="header names 1 columns, the rows hold 2"):
+            write_csv(tmp_path / "bad.csv", ["a"], [np.arange(3), np.ones(3)])
+        spec = GridSpec(dim=2, extent=1.0, points_per_axis=8)
+        with pytest.raises(ValueError, match="header names 2 columns, the rows hold 3"):
+            write_csv(tmp_path / "bad.csv", ["x1", "v"], [np.zeros(64)], spec=spec)
+        assert not (tmp_path / "bad.csv").exists()
+
 
 def set_cores(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
