@@ -8,7 +8,9 @@ the keys the run read.  CSV artifacts carry the plot-ready series.  A
 --config file holds a JSON object that may supply any flag; each value
 must have the flag's type, and null means the key is absent.  Exit
 codes: 0 success or verdict solution, 2 inequality violation, 1 usage
-or numeric error (with a single-line {"error": ...} on stdout).
+or numeric error (with a single-line {"error": ...} on stdout).  The
+report is strict JSON: a non-finite number in it is such an error, and
+no report file is written.
 """
 
 from __future__ import annotations
@@ -16,12 +18,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 import time
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from . import analyze, clt, coeffs, construct, families, grids
@@ -34,22 +33,6 @@ class CliError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise CliError(message)
-
-
-def _jsonable(obj):
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {k: _jsonable(v) for k, v in dataclasses.asdict(obj).items()}
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf" if obj > 0 else "-inf"
-    return obj
 
 
 def _sampled(evaluator):
@@ -163,6 +146,7 @@ def _run_construct(cfg, out_dir: Path):
             ratio=series_build.ratio,
             n_terms=series_build.n_terms,
             tail_l1=series_build.tail_l1,
+            escaped_l1=series_build.escaped_l1,
             tail_sup=series_build.tail_sup,
             series_mass=grids.integrate(series_build.solution),
         )
@@ -185,7 +169,7 @@ def _run_verify(cfg, out_dir: Path):
         [f.values, residual.values],
         spec=f.spec,
     )
-    return _jsonable(report), 0 if report.verdict == "solution" else 2
+    return dataclasses.asdict(report), 0 if report.verdict == "solution" else 2
 
 
 def _run_moments(cfg, out_dir: Path):
@@ -196,7 +180,7 @@ def _run_moments(cfg, out_dir: Path):
         for radius, value in zip(rep.radii, rep.values):
             rows.append((rep.order, radius, value))
     grids.write_csv(out_dir / "moments.csv", ["p", "radius", "truncated_moment"], zip(*rows))
-    return {"reports": [_jsonable(r) for r in reports]}, 0
+    return {"reports": [dataclasses.asdict(r) for r in reports]}, 0
 
 
 def _run_clt(cfg, out_dir: Path):
@@ -223,7 +207,7 @@ def _run_clt(cfg, out_dir: Path):
     grids.write_csv(
         out_dir / "clt.csv", ["R", "n", "p_grid", "phi", "p_mc", "mc_stderr"], zip(*rows)
     )
-    return {"experiments": [_jsonable(r) for r in outcomes]}, 0
+    return {"experiments": [dataclasses.asdict(r) for r in outcomes]}, 0
 
 
 # Every command and option once: {command: (runner, {key: (type, default,
@@ -377,11 +361,11 @@ def main(argv=None) -> int:
         report = {
             "command": args.command,
             "version": __version__,
-            "config": _jsonable(cfg),
+            "config": cfg,
             "results": results,
         }
         doc = {"report": report, "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z")}
-        text = json.dumps(doc, indent=2)
+        text = json.dumps(doc, indent=2, allow_nan=False)
         (out_dir / f"{args.command}_report.json").write_text(text + "\n")
         print(text)
         return code

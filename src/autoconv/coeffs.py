@@ -86,7 +86,9 @@ def tail_bound(table: CoeffTable, n_terms: int, ratio: float) -> float:
     c_{n_terms+1} (valid for every ratio <= 1 since the coefficients sum
     to 1).  The smaller one is returned times 1 + 1e-12, which lifts it
     above the exact tail however it and the table (within 3e-14 of exact,
-    see remainder) were rounded; at ratio = 1 that is the remainder.
+    see remainder) were rounded; at ratio = 1 that is the remainder.  For
+    ratio > 0 the result is at least the smallest positive float, since the
+    exact tail is positive even where the geometric bound underflows.
     """
     if not 0.0 <= ratio <= 1.0:
         raise ValueError(f"ratio must lie in [0, 1], got {ratio}")
@@ -99,7 +101,7 @@ def tail_bound(table: CoeffTable, n_terms: int, ratio: float) -> float:
     bound = float((2 * n_terms + 2) * table.values[n_terms])
     if ratio < 1.0:
         bound = min(bound, float(table.values[n_terms] * ratio ** (n_terms + 1) / (1.0 - ratio)))
-    return bound * (1.0 + 1e-12)
+    return max(bound * (1.0 + 1e-12), math.ulp(0.0))
 
 
 def terms_for_tail(table: CoeffTable, ratio: float, bound: float) -> int | None:

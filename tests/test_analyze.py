@@ -183,6 +183,12 @@ class TestExpTailFit:
         with pytest.raises(ValueError):
             exp_tail_fit(g, inner=60.0)
 
+    def test_region_with_fewer_than_four_nodes_rejected(self):
+        # on [-4, 4) with h = 1 the annulus 3 <= |x| <= 3.6 holds x = -3 and 3 only
+        g = poisson_sample(0.5, L=4.0, N=8)
+        with pytest.raises(ValueError, match="fewer than 4 nodes"):
+            exp_tail_fit(g, inner=3.0)
+
 
 class TestCriticalMomentDemo:
     def test_critical_bump(self):

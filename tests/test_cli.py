@@ -10,9 +10,17 @@ from autoconv.cli import main
 from oracles import write_rows_per_cell
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
+def strict_loads(text):
+    """json.loads that refuses NaN, Infinity and -Infinity."""
+    return json.loads(text, parse_constant=_no_constant)
+
+
 def read_report(out_dir, command):
-    with open(out_dir / f"{command}_report.json") as fh:
-        return json.load(fh)
+    return strict_loads((out_dir / f"{command}_report.json").read_text())
 
 
 def test_verify_poisson_solution(tmp_path, capsys):
@@ -29,7 +37,7 @@ def test_verify_poisson_solution(tmp_path, capsys):
     assert abs(results["solution_mass"] - 0.5) <= 0.01
     assert (tmp_path / "verify_residual.csv").exists()
     # stdout carries the same document
-    printed = json.loads(capsys.readouterr().out)
+    printed = strict_loads(capsys.readouterr().out)
     assert printed["report"] == doc["report"]
 
 
@@ -146,7 +154,7 @@ def test_input_with_family_rejected(tmp_path, capsys, command, flag, name):
     assert main(argv) == 1
     out = capsys.readouterr().out.strip()
     assert len(out.splitlines()) == 1
-    assert flag in json.loads(out)["error"]
+    assert flag in strict_loads(out)["error"]
     assert not list((tmp_path / "out").glob("*.csv"))
 
 
@@ -203,7 +211,7 @@ def test_clt_negative_samples_rejected(tmp_path, capsys):
     assert code == 1
     out = capsys.readouterr().out.strip()
     assert len(out.splitlines()) == 1
-    assert "mc_samples" in json.loads(out)["error"]
+    assert "mc_samples" in strict_loads(out)["error"]
     assert not (tmp_path / "clt.csv").exists()
 
 
@@ -241,7 +249,7 @@ def test_clt_bad_radius_rejected(tmp_path, capsys, radius):
     assert code == 1
     out = capsys.readouterr().out.strip()
     assert len(out.splitlines()) == 1
-    assert "radii" in json.loads(out)["error"]
+    assert "radii" in strict_loads(out)["error"]
     assert not (tmp_path / "clt.csv").exists()
 
 
@@ -250,7 +258,7 @@ def test_clt_empty_radius_list_in_config_rejected(tmp_path, capsys):
     config.write_text(json.dumps({"kind": "finite_variance", "R": [], "samples": 0}))
     code = main(["clt", "--config", str(config), "--out-dir", str(tmp_path)])
     assert code == 1
-    assert "radii" in json.loads(capsys.readouterr().out)["error"]
+    assert "radii" in strict_loads(capsys.readouterr().out)["error"]
 
 
 def test_json_grid_file_count_mismatch_rejected(tmp_path, capsys):
@@ -262,7 +270,7 @@ def test_json_grid_file_count_mismatch_rejected(tmp_path, capsys):
     assert code == 1
     out = capsys.readouterr().out.strip()
     assert len(out.splitlines()) == 1
-    assert "needs 8 values, the file holds 3" in json.loads(out)["error"]
+    assert "needs 8 values, the file holds 3" in strict_loads(out)["error"]
 
 
 @pytest.mark.parametrize(
@@ -275,10 +283,18 @@ def test_json_grid_file_count_mismatch_rejected(tmp_path, capsys):
         ),
         ("bad.csv", "x1,value\n", "no data rows"),
         ("bad.csv", "value\n0.1\n0.2\n", "no coordinate column"),
+        ("bad.csv", "x1,x2,value\n" + "0,0,0.1\n" * 10, "row count 10 is not a 2-dim grid"),
         ("bad.json", "[0.1, 0.2]", "holds a JSON list, not a grid object"),
         ("bad.json", '{"dim": 1, "extent": 4.0, "values": [0.1]}', "lacks points_per_axis"),
     ],
-    ids=["scrambled_rows", "header_only", "value_column_only", "json_list", "json_missing_key"],
+    ids=[
+        "scrambled_rows",
+        "header_only",
+        "value_column_only",
+        "row_count",
+        "json_list",
+        "json_missing_key",
+    ],
 )
 @pytest.mark.filterwarnings("error")
 def test_malformed_grid_file_rejected(tmp_path, capsys, name, text, problem):
@@ -288,7 +304,7 @@ def test_malformed_grid_file_rejected(tmp_path, capsys, name, text, problem):
     assert code == 1
     out = capsys.readouterr().out.strip()
     assert len(out.splitlines()) == 1
-    assert problem in json.loads(out)["error"]
+    assert problem in strict_loads(out)["error"]
     assert not list((tmp_path / "out").glob("*.csv"))
 
 
@@ -390,7 +406,7 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     config.write_text(json.dumps({"frequency": 2}))
     code = main(["coeffs", "--config", str(config), "--out-dir", str(tmp_path)])
     assert code == 1
-    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    err = strict_loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert "frequency" in err["error"]
 
 
@@ -410,7 +426,7 @@ def test_config_file_must_hold_a_json_object(tmp_path, capsys, text, message):
     assert code == 1
     out = capsys.readouterr().out.strip()
     assert len(out.splitlines()) == 1
-    error = json.loads(out)["error"]
+    error = strict_loads(out)["error"]
     assert f"config file {config} {message}" in error
     assert not list(tmp_path.glob("*.csv"))
 
@@ -425,7 +441,24 @@ def test_numeric_error_is_single_line_json(tmp_path, capsys):
     assert code == 1
     out = capsys.readouterr().out.strip()
     assert len(out.splitlines()) == 1
-    assert "1/4" in json.loads(out)["error"]
+    assert "1/4" in strict_loads(out)["error"]
+
+
+def test_non_finite_result_is_an_error_not_infinity(tmp_path, capsys):
+    # the Riemann sum of a 1e308-scaled kernel overflows to inf
+    argv = ["family", "--family", "poisson", "--a", "1e308", "--N", "1024"]
+    assert main([*argv, "--out-dir", str(tmp_path / "a")]) == 1
+    out = capsys.readouterr().out.strip()
+    assert len(out.splitlines()) == 1
+    assert "error" in strict_loads(out)
+    assert not (tmp_path / "a" / "family_report.json").exists()
+    # with numpy's overflow warning silenced the encoder itself refuses inf
+    with np.errstate(over="ignore"):
+        assert main([*argv, "--out-dir", str(tmp_path / "b")]) == 1
+    out = capsys.readouterr().out.strip()
+    assert len(out.splitlines()) == 1
+    assert "not JSON compliant" in strict_loads(out)["error"]
+    assert not (tmp_path / "b" / "family_report.json").exists()
 
 
 def test_missing_input_errors(tmp_path):
@@ -434,7 +467,7 @@ def test_missing_input_errors(tmp_path):
 
 def test_usage_error(capsys):
     assert main(["frobnicate"]) == 1
-    assert "error" in json.loads(capsys.readouterr().out)
+    assert "error" in strict_loads(capsys.readouterr().out)
 
 
 @pytest.mark.parametrize("chunk", [7, grids.CSV_CHUNK_ROWS])
@@ -553,7 +586,7 @@ def test_list_keys_in_config_must_be_non_empty_number_lists(
     assert code == 1
     out = capsys.readouterr().out.strip()
     assert len(out.splitlines()) == 1
-    assert f"config key {key!r}" in json.loads(out)["error"]
+    assert f"config key {key!r}" in strict_loads(out)["error"]
     assert not list(tmp_path.glob("*.csv"))
 
 
@@ -601,7 +634,7 @@ def test_unknown_construct_method_rejected(tmp_path, capsys):
     assert code == 1
     out = capsys.readouterr().out.strip()
     assert len(out.splitlines()) == 1
-    assert "bogus" in json.loads(out)["error"]
+    assert "bogus" in strict_loads(out)["error"]
     assert not list(tmp_path.glob("*"))
 
 
@@ -643,6 +676,9 @@ def _grid_header_file(tmp_path, **header):
         (["verify", "--family", "poisson", "--a", "inf", "--N", "1024"], "a must be finite"),
         (["verify", "--family", "poisson", "--t", "nan", "--N", "1024"], "t must be finite"),
         (["family", "--family", "sinc", "--a", "inf"], "a must be finite"),
+        (["family", "--family", "bogus"], "unknown family 'bogus'"),
+        (["verify"], "provide either --input or --family"),
+        (["construct"], "provide either --input or --residual {gaussian,bump,poisson_margin}"),
     ],
 )
 def test_non_finite_or_mistyped_parameter_rejected(tmp_path, capsys, argv, name):
@@ -650,7 +686,7 @@ def test_non_finite_or_mistyped_parameter_rejected(tmp_path, capsys, argv, name)
     assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 1
     out = capsys.readouterr().out.strip()
     assert len(out.splitlines()) == 1
-    assert name in json.loads(out)["error"]
+    assert name in strict_loads(out)["error"]
     assert not list((tmp_path / "out").glob("*.csv"))
 
 
@@ -717,7 +753,7 @@ def test_one_dimensional_family_on_higher_d_grid(tmp_path, capsys, command, name
     assert main(argv) == 1
     out = capsys.readouterr().out.strip()
     assert len(out.splitlines()) == 1
-    assert json.loads(out)["error"].endswith("is one-dimensional")
+    assert strict_loads(out)["error"].endswith("is one-dimensional")
     assert not list(tmp_path.glob("*.csv"))
 
 

@@ -152,6 +152,15 @@ def test_tail_bound_zero_ratio(big_table):
     assert tail_bound(big_table, 1, 0.0) == 0.0
 
 
+def test_tail_bound_is_positive_where_the_geometric_bound_underflows():
+    # c_1101 0.5^1101 / 0.5 is about 5e-337, below the smallest float
+    table = build_coeffs(5000)
+    assert tail_bound(table, 1100, 0.5) == math.ulp(0.0)
+    assert tail_bound(table, 2000, 0.5) == math.ulp(0.0)
+    assert tail_bound(table, 1100, 0.0) == 0.0
+    assert terms_for_tail(table, 0.5, 0.0) is None
+
+
 def test_tail_bound_critical_equals_remainder(big_table):
     bound = tail_bound(big_table, 10, 1.0)
     remainder_10 = 1.0 - big_table.partial_sums[9]

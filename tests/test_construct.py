@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -69,6 +70,7 @@ class TestBuildSeries:
         build = build_series(zero_residual())
         assert build.n_terms == 1
         assert build.tail_l1 == 0.0
+        assert build.escaped_l1 == 0.0
         assert not build.solution.values.any()
 
     def test_subcritical_gaussian_mass(self):
@@ -78,6 +80,7 @@ class TestBuildSeries:
         assert integrate(build.solution) == pytest.approx(0.25, abs=1e-3)
         assert float(build.solution.values.min()) >= 0.0
         assert build.tail_l1 <= 1e-4
+        assert build.escaped_l1 <= 1e-12
 
     def test_critical_gaussian(self):
         build = build_series(gaussian_residual(0.25, L=100.0, N=2**13), epsilon=0.01)
@@ -86,6 +89,26 @@ class TestBuildSeries:
         # the tail law 1/sqrt(pi N) <= 2 epsilon predicts the term count
         predicted = 1.0 / (math.pi * (2.0 * 0.01) ** 2)
         assert 0.75 * predicted <= build.n_terms <= 1.35 * predicted
+
+    @pytest.mark.parametrize(
+        "dim, L, n, warns", [(1, 40.0, 2**10, False), (2, 40.0, 64, False), (2, 20.0, 32, True)]
+    )
+    def test_tail_and_escaped_mass_cover_the_critical_gap(self, dim, L, n, warns):
+        spec = GridSpec(dim=dim, extent=L, points_per_axis=n)
+        u = sample_with_mass(spec, gaussian_density(sigma=1.5), 0.25)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if warns:
+                with pytest.warns(UserWarning, match="widen the window"):
+                    build = build_series(u)
+            else:
+                build = build_series(u)
+        # Every term is nonnegative, so truncation and window account for
+        # the whole gap to a* = 1/2.
+        gap = 0.5 - integrate(build.solution)
+        assert build.escaped_l1 > 0.0
+        assert gap - 1e-12 <= build.tail_l1 + build.escaped_l1 <= gap + 1e-12
+        assert (build.escaped_l1 > 0.01) == warns
 
     def test_ratio_one_ulp_below_critical(self):
         # a residual mass rounding to just under 1/4 must not blow up the

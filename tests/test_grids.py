@@ -100,6 +100,15 @@ class TestSample:
         with pytest.raises(ValueError):
             gauss.values[0] = 1.0
 
+    @pytest.mark.parametrize("kind", [GridFunction, Spectrum])
+    def test_values_must_have_the_grid_shape(self, kind):
+        with pytest.raises(ValueError, match=r"values shape \(8, 8\) does not match grid shape"):
+            kind(spec=spec1(N=8), values=np.zeros((8, 8)))
+
+    def test_sample_with_mass_needs_a_profile_with_mass(self):
+        with pytest.raises(ValueError, match="profile has no mass"):
+            grids.sample_with_mass(spec1(), lambda x: np.zeros_like(x), 0.1)
+
 
 class TestIntegrateAndMoment:
     def test_zero(self):
@@ -228,6 +237,10 @@ class TestConvolve:
         other = sample(spec1(N=2**11), families.gaussian_density())
         with pytest.raises(ValueError):
             convolve(gauss, other)
+
+    def test_plan_window_checks_the_factor_shape(self, gauss):
+        with pytest.raises(ValueError, match="grid specs do not match"):
+            ConvolutionPlan(gauss).window(np.zeros(2**11), 0.0, 0.0)
 
     def test_gaussian_semigroup(self, gauss):
         got = convolve(gauss, gauss)
