@@ -9,14 +9,18 @@ the keys the run read.  CSV artifacts carry the plot-ready series.  A
 must have the flag's type, and null means the key is absent.  Exit
 codes: 0 success or verdict solution, 2 inequality violation, 1 usage
 or numeric error (with a single-line {"error": ...} on stdout).  The
-report is strict JSON: a non-finite number in it is such an error, and
-no report file is written.
+report is strict JSON: a non-finite number in it is such an error.  A
+run that exits 1 writes no report and no artifact: runners only compute,
+and main writes their files once the report has encoded.  The out-dir
+is created before any work, so an unusable one fails first.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
+import itertools
 import json
 import sys
 import time
@@ -35,102 +39,102 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _sampled(evaluator):
-    """builder(cfg, spec) that samples evaluator(cfg) on the grid."""
-    return lambda cfg, spec: grids.sample(spec, evaluator(cfg))
-
-
-_margin = _sampled(lambda c: families.poisson_inequality_margin(c["a"], c["t"]))
-
-# name -> (the parameter keys it reads, builder(cfg, spec))
+# name -> build(spec, **params): the parameter names after the grid spec
+# are the config keys the function reads, and the only ones it echoes.
 _FAMILIES = {
-    "poisson": (
-        ("a", "t"),
-        _sampled(lambda c: families.poisson(families.PoissonParams(c["a"], c["t"]))),
+    "poisson": lambda spec, a, t: grids.sample(
+        spec, families.poisson(families.PoissonParams(a, t))
     ),
-    "poisson_margin": (("a", "t"), _margin),
-    "sinc": (("a",), _sampled(lambda c: families.sinc_counterexample(families.SincParams(c["a"])))),
-    "heavy_tail": ((), _sampled(lambda c: families.heavy_tail_density())),
-    "gaussian": (("sigma",), _sampled(lambda c: families.gaussian_density(sigma=c["sigma"]))),
-    "reverse": (("a", "delta"), lambda c, spec: families.reverse_example(spec, c["a"], c["delta"])),
+    "poisson_margin": lambda spec, a, t: grids.sample(
+        spec, families.poisson_inequality_margin(a, t)
+    ),
+    "sinc": lambda spec, a: grids.sample(
+        spec, families.sinc_counterexample(families.SincParams(a))
+    ),
+    "heavy_tail": lambda spec: grids.sample(spec, families.heavy_tail_density()),
+    "gaussian": lambda spec, sigma: grids.sample(spec, families.gaussian_density(sigma)),
+    "reverse": families.reverse_example,
 }
 _RESIDUALS = {
-    "gaussian": (
-        ("mass", "sigma"),
-        lambda c, spec: grids.sample_with_mass(
-            spec, families.gaussian_density(sigma=c["sigma"]), c["mass"]
-        ),
+    "gaussian": lambda spec, mass, sigma: grids.sample_with_mass(
+        spec, families.gaussian_density(sigma), mass
     ),
-    "bump": (
-        ("mass", "profile"),
-        lambda c, spec: construct.bump_residual(spec, c["mass"], c["profile"]),
-    ),
-    "poisson_margin": (("a", "t"), _margin),
+    "bump": construct.bump_residual,
+    "poisson_margin": _FAMILIES["poisson_margin"],
 }
+
+
+def _params(build) -> list[str]:
+    """The config keys a builder reads: its parameters after the grid spec."""
+    return list(inspect.signature(build).parameters)[1:]
 
 
 def _grid_function(cfg) -> grids.GridFunction:
     """The grid file given by --input, else the named family or residual.
 
-    A named function is built on the config's grid.  A file sets the
-    config's d, L and N to its own grid, so the report echoes what ran;
-    naming a family or residual beside it is an error.  The config keeps
-    only the parameter keys the function read: the named one's, none for
-    a file.
+    A named function is built on the config's grid from the config keys
+    its builder names as parameters.  A file sets the config's d, L and N
+    to its own grid, so the report echoes what ran; naming a family or
+    residual beside it is an error.  The config keeps only the parameter
+    keys the function read: the builder's, none for a file.
     """
     source = "family" if "family" in cfg else "residual"
     table = _FAMILIES if source == "family" else _RESIDUALS
     path, name = cfg["input"], cfg[source]
     if path and name:
         raise CliError(f"--input and --{source} both name the function: give one of them")
+    read = []
     if path:
         g = grids.from_json(path) if path.endswith(".json") else grids.from_csv(path)
         cfg.update(d=int(g.spec.dim), L=float(g.spec.extent), N=int(g.spec.points_per_axis))
-        read = ()
+    elif name in table:
+        build = table[name]
+        read = _params(build)
+        spec = grids.GridSpec(dim=cfg["d"], extent=cfg["L"], points_per_axis=cfg["N"])
+        g = build(spec, **{key: cfg[key] for key in read})
+    elif source == "family" and name:
+        raise CliError(f"unknown family {name!r}")
     else:
-        if name not in table:
-            if source == "family" and name:
-                raise CliError(f"unknown family {name!r}")
-            choices = " {" + ",".join(_RESIDUALS) + "}" if source == "residual" else ""
-            raise CliError(f"provide either --input or --{source}{choices}")
-        read, build = table[name]
-        g = build(cfg, grids.GridSpec(dim=cfg["d"], extent=cfg["L"], points_per_axis=cfg["N"]))
-    for key in {key for keys, _ in table.values() for key in keys}.difference(read):
+        choices = " {" + ",".join(_RESIDUALS) + "}" if source == "residual" else ""
+        raise CliError(f"provide either --input or --{source}{choices}")
+    for key in {key for build in table.values() for key in _params(build)}.difference(read):
         del cfg[key]
     return g
 
 
 # ----------------------------------------------------------------------
-# subcommand runners: cfg -> (results dict, exit code)
+# subcommand runners: cfg -> (results dict, exit code, {file name: writer})
+# main calls each writer(path) only once the report encodes, so a refused
+# run leaves no artifact behind
 # ----------------------------------------------------------------------
 
 
-def _run_coeffs(cfg, out_dir: Path):
+def _run_coeffs(cfg):
     table = coeffs.build_coeffs(cfg["n"])
-    coeffs.dump_csv(table, out_dir / "coeffs.csv")
     results = {
         "n_max": table.n_max,
         "first_values": [float(v) for v in table.values[:10]],
         "final_partial_sum": float(table.partial_sums[-1]),
         "tail_remainder": coeffs.remainder(table.n_max),
     }
-    return results, 0
+    return results, 0, {"coeffs.csv": lambda path: coeffs.dump_csv(table, path)}
 
 
-def _run_family(cfg, out_dir: Path):
+def _run_family(cfg):
     g = _grid_function(cfg)
-    grids.to_csv(g, out_dir / "family.csv")
-    grids.to_json(g, out_dir / "family.json")
     results = {
         "family": cfg["family"],
         "mass": grids.integrate(g),
         "min_value": float(g.values.min()),
         "max_value": float(g.values.max()),
     }
-    return results, 0
+    return results, 0, {
+        "family.csv": lambda path: grids.to_csv(g, path),
+        "family.json": lambda path: grids.to_json(g, path),
+    }
 
 
-def _run_construct(cfg, out_dir: Path):
+def _run_construct(cfg):
     method = cfg["method"]
     if method not in ("series", "spectral", "both"):
         raise CliError(f"unknown method {method!r}: use series, spectral or both")
@@ -138,10 +142,11 @@ def _run_construct(cfg, out_dir: Path):
     if method == "spectral":
         del cfg["epsilon"]  # read by the series route alone, so not echoed
     results: dict = {"residual_mass": grids.integrate(u)}
+    writers = {}
     series_build = None
     if method in ("series", "both"):
         series_build = construct.build_series(u, epsilon=cfg["epsilon"])
-        grids.to_csv(series_build.solution, out_dir / "construct_series.csv")
+        writers["construct_series.csv"] = lambda path: grids.to_csv(series_build.solution, path)
         results.update(
             ratio=series_build.ratio,
             n_terms=series_build.n_terms,
@@ -152,62 +157,45 @@ def _run_construct(cfg, out_dir: Path):
         )
     if method in ("spectral", "both"):
         spectral = construct.build_spectral(u)
-        grids.to_csv(spectral, out_dir / "construct_spectral.csv")
+        writers["construct_spectral.csv"] = lambda path: grids.to_csv(spectral, path)
         results["spectral_mass"] = grids.integrate(spectral)
         if series_build is not None:
             results["crosscheck_l1"] = construct.crosscheck(series_build, spectral)
-    return results, 0
+    return results, 0, writers
 
 
-def _run_verify(cfg, out_dir: Path):
+def _run_verify(cfg):
     f = _grid_function(cfg)
     residual = analyze.recovered_residual(f)
     report = analyze.scan_residual(f, residual, tolerance=cfg["tolerance"])
-    grids.write_csv(
-        out_dir / "verify_residual.csv",
-        [f"x{i + 1}" for i in range(f.spec.dim)] + ["f", "residual"],
-        [f.values, residual.values],
-        spec=f.spec,
-    )
-    return dataclasses.asdict(report), 0 if report.verdict == "solution" else 2
+    header = [f"x{i + 1}" for i in range(f.spec.dim)] + ["f", "residual"]
+    columns = [f.values, residual.values]
+    writers = {
+        "verify_residual.csv": lambda path: grids.write_csv(path, header, columns, spec=f.spec)
+    }
+    return dataclasses.asdict(report), 0 if report.verdict == "solution" else 2, writers
 
 
-def _run_moments(cfg, out_dir: Path):
+def _run_moments(cfg):
     f = _grid_function(cfg)
     reports = [analyze.moment_scan(f, p, levels=cfg["levels"]) for p in cfg["p"]]
-    rows = []
-    for rep in reports:
-        for radius, value in zip(rep.radii, rep.values):
-            rows.append((rep.order, radius, value))
-    grids.write_csv(out_dir / "moments.csv", ["p", "radius", "truncated_moment"], zip(*rows))
-    return {"reports": [dataclasses.asdict(r) for r in reports]}, 0
+    rows = [(rep.order, r, v) for rep in reports for r, v in zip(rep.radii, rep.values)]
+    header = ["p", "radius", "truncated_moment"]
+    writers = {"moments.csv": lambda path: grids.write_csv(path, header, zip(*rows))}
+    return {"reports": [dataclasses.asdict(r) for r in reports]}, 0, writers
 
 
-def _run_clt(cfg, out_dir: Path):
+def _run_clt(cfg):
     outcomes = clt.run_experiments(
-        cfg["kind"],
-        cfg["R"],
-        n_list=cfg["n"],
-        mc_samples=cfg["samples"],
-        seed=cfg["seed"],
+        cfg["kind"], cfg["R"], n_list=cfg["n"], mc_samples=cfg["samples"], seed=cfg["seed"]
     )
     rows = []
-    for res in outcomes:
-        for i, n in enumerate(res.n_list):
-            rows.append(
-                (
-                    res.ball_radius,
-                    n,
-                    res.p_values[i],
-                    res.phi_values[i],
-                    res.mc_values[i] if res.mc_values else "",
-                    res.mc_stderr[i] if res.mc_stderr else "",
-                )
-            )
-    grids.write_csv(
-        out_dir / "clt.csv", ["R", "n", "p_grid", "phi", "p_mc", "mc_stderr"], zip(*rows)
-    )
-    return {"experiments": [dataclasses.asdict(r) for r in outcomes]}, 0
+    for res in outcomes:  # without Monte Carlo draws, p_mc and mc_stderr are empty
+        cells = (res.n_list, res.p_values, res.phi_values, res.mc_values, res.mc_stderr)
+        rows += [(res.ball_radius, *row) for row in itertools.zip_longest(*cells, fillvalue="")]
+    header = ["R", "n", "p_grid", "phi", "p_mc", "mc_stderr"]
+    writers = {"clt.csv": lambda path: grids.write_csv(path, header, zip(*rows))}
+    return {"experiments": [dataclasses.asdict(r) for r in outcomes]}, 0, writers
 
 
 # Every command and option once: {command: (runner, {key: (type, default,
@@ -357,7 +345,7 @@ def main(argv=None) -> int:
         out_dir = Path(cfg["out_dir"])
         out_dir.mkdir(parents=True, exist_ok=True)
         run, _ = _COMMANDS[args.command]
-        results, code = run(cfg, out_dir)
+        results, code, writers = run(cfg)
         report = {
             "command": args.command,
             "version": __version__,
@@ -366,6 +354,8 @@ def main(argv=None) -> int:
         }
         doc = {"report": report, "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z")}
         text = json.dumps(doc, indent=2, allow_nan=False)
+        for name, write in writers.items():
+            write(out_dir / name)
         (out_dir / f"{args.command}_report.json").write_text(text + "\n")
         print(text)
         return code

@@ -88,9 +88,11 @@ def rescaled_density(w: GridFunction, n: int) -> GridFunction:
     raising.  The inverse is idft's checked one: the powered transform of
     a real density is conjugate symmetric, and one that is not (its
     transform has not decayed by the grid's top frequency, as for a point
-    mass off the origin) raises ValueError.  Tiny negative output values
-    (at worst -1e-8) are ringing and are clamped; a total mass more than
-    2 percent away from 1 leaves a warning on record.
+    mass off the origin) raises ValueError.  Negative output values are
+    ringing and are clamped to 0; values below -DENSITY_CLAMP leave a
+    warning on record naming the minimum and the L1 mass the clamp
+    removed, h^d sum max(-d_j, 0), as does a total mass more than 2
+    percent away from 1.
     """
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
@@ -108,8 +110,10 @@ def rescaled_density(w: GridFunction, n: int) -> GridFunction:
     density = idft(Spectrum(spec=w.spec, values=powered)).values
     low = float(density.min())
     if low < -DENSITY_CLAMP:
+        removed = -float(density[density < 0].sum()) * w.spec.cell_volume
         warnings.warn(
-            f"rescaled density has negative values down to {low:.3e}; clamping",
+            f"rescaled density has negative values down to {low:.3e}; clamping "
+            f"them removes L1 mass {removed:.12e}",
             stacklevel=2,
         )
     density = np.maximum(density, 0.0)

@@ -1,3 +1,5 @@
+import functools
+import inspect
 import json
 import math
 from fractions import Fraction
@@ -5,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from autoconv import analyze, clt, construct, families, grids
+from autoconv import analyze, cli, clt, construct, families, grids
 from autoconv.cli import main
 from oracles import write_rows_per_cell
 
@@ -349,6 +351,24 @@ _RESIDUAL_KEYS = {"mass", "sigma", "profile", "a", "t"}
 
 
 @pytest.mark.parametrize(
+    "table,commands",
+    [(cli._FAMILIES, ("family", "verify", "moments")), (cli._RESIDUALS, ("construct",))],
+)
+def test_builders_name_option_keys(table, commands):
+    # _grid_function passes each builder the grid spec and, by name, the
+    # config keys after it: a key no command offers would fail at run time
+    for name, build in table.items():
+        spec, *params = inspect.signature(build).parameters.values()
+        assert spec.name == "spec", name
+        for param in params:
+            assert param.kind is param.POSITIONAL_OR_KEYWORD, (name, param.name)
+            assert param.name not in {*cli._GRID, "input", "family", "residual"}, name
+            for command in commands:
+                _, options = cli._COMMANDS[command]
+                assert param.name in options, (name, param.name, command)
+
+
+@pytest.mark.parametrize(
     "argv,read",
     [
         (["family", "--family", "sinc"], {"a"}),
@@ -451,14 +471,63 @@ def test_non_finite_result_is_an_error_not_infinity(tmp_path, capsys):
     out = capsys.readouterr().out.strip()
     assert len(out.splitlines()) == 1
     assert "error" in strict_loads(out)
-    assert not (tmp_path / "a" / "family_report.json").exists()
+    # the out-dir is made before any work, and a refused run leaves it empty
+    assert not list((tmp_path / "a").iterdir())
     # with numpy's overflow warning silenced the encoder itself refuses inf
     with np.errstate(over="ignore"):
         assert main([*argv, "--out-dir", str(tmp_path / "b")]) == 1
     out = capsys.readouterr().out.strip()
     assert len(out.splitlines()) == 1
     assert "not JSON compliant" in strict_loads(out)["error"]
-    assert not (tmp_path / "b" / "family_report.json").exists()
+    assert not list((tmp_path / "b").iterdir())
+
+
+def test_construct_failing_spectral_route_writes_no_series_csv(tmp_path, capsys, monkeypatch):
+    def broken(u):
+        raise RuntimeError("spectral route failed")
+
+    monkeypatch.setattr(construct, "build_spectral", broken)
+    out_dir = tmp_path / "out"
+    argv = [
+        "construct", "--residual", "gaussian", "--L", "40", "--N", "512",
+        "--method", "both", "--out-dir", str(out_dir),
+    ]
+    assert main(argv) == 1
+    assert "spectral route failed" in strict_loads(capsys.readouterr().out)["error"]
+    assert not list(out_dir.iterdir())
+
+
+@pytest.mark.parametrize(
+    "table,name,argv",
+    [
+        (cli._FAMILIES, "poisson", ["family", "--family", "poisson"]),
+        (cli._RESIDUALS, "gaussian", ["construct", "--residual", "gaussian"]),
+    ],
+)
+def test_out_dir_that_is_a_file_fails_before_any_builder(
+    tmp_path, capsys, monkeypatch, table, name, argv
+):
+    calls = []
+    build = table[name]
+
+    @functools.wraps(build)  # keeps the signature the config keys are read from
+    def spy(spec, **params):
+        calls.append(spec)
+        return build(spec, **params)
+
+    monkeypatch.setitem(table, name, spy)
+    argv = [*argv, "--L", "40", "--N", "512", "--out-dir"]
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main([*argv, str(taken)]) == 1
+    out = capsys.readouterr().out.strip()
+    assert len(out.splitlines()) == 1
+    assert str(taken) in strict_loads(out)["error"]
+    assert calls == []
+    assert taken.read_text() == ""
+    # the same run into a directory does reach the builder
+    assert main([*argv, str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
 
 
 def test_missing_input_errors(tmp_path):

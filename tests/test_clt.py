@@ -1,6 +1,8 @@
 import math
 import os
+import re
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -69,6 +71,25 @@ class TestRescaledDensity:
         values[spec.points_per_axis // 2 + 1] = 1.0 / spec.spacing
         with pytest.raises(ValueError, match="conjugate symmetric"):
             rescaled_density(GridFunction(spec=spec, values=values), 2)
+
+    def test_clamp_warning_names_the_mass_it_removed(self):
+        # The unit-variance box rings: its n = 2 density dips to about
+        # -5.6e-5, while at n = 1 and n = 5 no value falls below -1e-8.
+        spec = GridSpec(dim=1, extent=16.0, points_per_axis=2**12)
+        half = math.sqrt(3.0)
+        w = grids.sample_with_mass(spec, lambda x: np.where(np.abs(x) <= half, 1.0, 0.0), 1.0)
+        for n in (1, 5):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rescaled_density(w, n)
+        with pytest.warns(UserWarning, match="negative values down to") as record:
+            out = rescaled_density(w, 2)
+        assert out.values.min() == 0.0
+        named = float(re.search(r"removes L1 mass (\S+)$", str(record[0].message)).group(1))
+        squared = grids.Spectrum(spec=spec, values=_charfun_on_scaled_lattice(w, 2) ** 2)
+        raw = grids.idft(squared).values
+        assert raw.min() < -1e-5
+        assert named == pytest.approx(np.maximum(-raw, 0.0).sum() * spec.cell_volume, rel=1e-9)
 
     def test_uniform_converges_to_gaussian(self, uniform_fine):
         out = rescaled_density(uniform_fine, 64)
