@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +31,7 @@ from .grids import (
     idft,
     integrate,
     sample_with_mass,
+    warn,
 )
 
 # Pointwise floor below which negative input values are treated as noise
@@ -114,10 +114,7 @@ def _validated_residual(u: GridFunction) -> tuple[GridFunction, float]:
                 f"residual must be nonnegative; min value {low:.3e} is below the "
                 f"-{NEGATIVE_CLAMP:.0e} noise floor"
             )
-        warnings.warn(
-            f"clamping tiny negative residual values (min {low:.3e}) to zero",
-            stacklevel=3,
-        )
+        warn(f"clamping tiny negative residual values (min {low:.3e}) to zero")
         u = GridFunction(spec=u.spec, values=np.maximum(u.values, 0.0))
     b = integrate(u)
     if b > 0.25 * (1.0 + MASS_RTOL):
@@ -202,10 +199,9 @@ def build_series(u: GridFunction, epsilon: float | None = None) -> SeriesBuild:
     # Rounding can leave the sum a few ulps below zero (-6e-17 in 15 terms).
     escaped_l1 = max(0.0, 0.5 * escaped)
     if escaped_l1 > epsilon:
-        warnings.warn(
+        warn(
             f"the window dropped {escaped_l1:.3e} of the series' L1 mass, more than "
-            f"epsilon {epsilon:.3e}; widen the window (a larger extent L)",
-            stacklevel=2,
+            f"epsilon {epsilon:.3e}; widen the window (a larger extent L)"
         )
     tls = 4.0 * float(u.values.max()) * tl1 / capped_ratio if capped_ratio > 0.0 else 0.0
     return SeriesBuild(

@@ -26,6 +26,8 @@ import functools
 import json
 import math
 import os
+import sys
+import warnings
 from dataclasses import asdict, dataclass, fields
 from typing import Callable
 
@@ -41,6 +43,8 @@ IDFT_IMAG_TOL = 1e-10
 # Rows formatted per block by write_csv; one block's text and cells take a
 # few MB.
 CSV_CHUNK_ROWS = 1 << 16
+# Frames from files in this directory are the package's own; warn skips them.
+_PACKAGE_DIR = os.path.dirname(__file__)
 
 
 @dataclass(frozen=True)
@@ -329,6 +333,19 @@ def usable_cores() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def warn(message: str) -> None:
+    """warnings.warn(message), attributed to the first caller outside autoconv.
+
+    A warning raised several calls deep, as in build_series under
+    build_exponential_example, then names the line that called into the
+    package rather than one of its own.
+    """
+    level, frame = 1, sys._getframe()
+    while frame is not None and os.path.dirname(frame.f_code.co_filename) == _PACKAGE_DIR:
+        level, frame = level + 1, frame.f_back
+    warnings.warn(message, stacklevel=level)
 
 
 def _format_block(row_fmt: str, cols: list, axes: list, bounds: tuple[int, int]) -> str:

@@ -36,6 +36,11 @@ def direct_charfun(w, out_spec, n):
     return values * w.spec.cell_volume
 
 
+def one_sided(*x):
+    """exp(-x1) for x1 >= 0, times a Gaussian along any further axes."""
+    return np.where(x[0] >= 0.0, np.exp(-x[0]), 0.0) * np.exp(-sum(c * c for c in x[1:]))
+
+
 def uniform_density(spec):
     half = math.sqrt(3.0)
     return normalized(
@@ -85,6 +90,7 @@ class TestRescaledDensity:
         with pytest.warns(UserWarning, match="negative values down to") as record:
             out = rescaled_density(w, 2)
         assert out.values.min() == 0.0
+        assert record[0].filename == __file__
         named = float(re.search(r"removes L1 mass (\S+)$", str(record[0].message)).group(1))
         squared = grids.Spectrum(spec=spec, values=_charfun_on_scaled_lattice(w, 2) ** 2)
         raw = grids.idft(squared).values
@@ -135,9 +141,10 @@ class TestRescaledDensity:
         target = sample(spec, gaussian_density())
         assert np.abs(out.values - target.values).max() <= 1e-9
 
-    @pytest.mark.parametrize("n", [1, 2, 5, 16])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 16])
     @pytest.mark.parametrize(
-        "dim, points, out_extent, out_points", [(1, 512, 8.0, 512), (2, 32, 8.0, 32)]
+        "dim, points, out_extent, out_points",
+        [(1, 512, 8.0, 512), (2, 32, 8.0, 32), (1, 8, 8.0, 8), (2, 8, 8.0, 8), (2, 512, 8.0, 512)],
     )
     def test_chirp_z_matches_direct_sum(self, dim, points, out_extent, out_points, n):
         spec = GridSpec(dim=dim, extent=8.0, points_per_axis=points)
@@ -147,6 +154,19 @@ class TestRescaledDensity:
         got = _charfun_on_scaled_lattice(w, n)
         want = direct_charfun(w, out_spec, n)
         assert got.shape == out_spec.shape
+        assert np.abs(want.imag).max() > 1e-3
+        assert np.abs(got - want).max() <= 1e-13
+
+    @pytest.mark.parametrize("n", [2, 3, 16])
+    @pytest.mark.parametrize("dim, points", [(1, 8), (1, 512), (2, 8), (2, 512)])
+    def test_lowest_frequency_slot(self, dim, points, n):
+        # m = -N/2 has no partner -m on the grid: the first axis takes it
+        # from conj(X(N/2)), computed past the grid's top frequency
+        spec = GridSpec(dim=dim, extent=8.0, points_per_axis=points)
+        # one-sided along x1: its transform 1/(1 + i 2 pi k) is still large there
+        w = normalized(spec, one_sided)
+        got = _charfun_on_scaled_lattice(w, n)[0]
+        want = direct_charfun(w, spec, n)[0]
         assert np.abs(want.imag).max() > 1e-3
         assert np.abs(got - want).max() <= 1e-13
 
@@ -313,6 +333,14 @@ class TestRunExperiments:
         chunked = run_experiments("infinite_variance", (0.5, 2.0), **args)
         assert [r.mc_values for r in chunked] == [r.mc_values for r in whole]
         assert [r.mc_stderr for r in chunked] == [r.mc_stderr for r in whole]
+        # 70,001 replicates of n = 4 take two default chunks, one of the
+        # former 1,000,000 draws
+        assert 4 * 70_001 > clt._MC_CHUNK
+        draws = (heavy_tail_sampler, (0.5, 2.0), (4, 16), 70_001, 4, threading.Event())
+        monkeypatch.undo()
+        default = clt._monte_carlo(*draws)
+        monkeypatch.setattr(clt, "_MC_CHUNK", 1_000_000)
+        assert clt._monte_carlo(*draws) == default
 
     @pytest.mark.parametrize("radii", [(), (-1.0,), (0.0,), (1.0, math.nan), (math.inf,)])
     def test_radii_must_be_finite_and_positive(self, radii):

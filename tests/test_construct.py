@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from autoconv.analyze import exp_tail_fit
+from autoconv.analyze import critical_moment_theorem_demo, exp_tail_fit
 from autoconv.coeffs import build_coeffs, tail_bound, terms_for_tail
 from autoconv.construct import (
     build_exponential_example,
@@ -343,3 +343,41 @@ class TestExponentialExample:
     def test_unknown_profile(self):
         with pytest.raises(ValueError, match="profile"):
             bump_residual(self.spec(), 0.1, profile="triangle")
+
+
+def dipped_residual():
+    """Gaussian residual of mass 0.1 with two mirrored -1e-13 values, which get clamped."""
+    u = gaussian_residual(0.1)
+    dipped = u.values.copy()
+    dipped[[5, u.spec.points_per_axis - 5]] = -1e-13
+    return GridFunction(spec=u.spec, values=dipped)
+
+
+class TestWarningsNameTheCaller:
+    """A warning names the first line outside autoconv, however deep it is raised."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda spec: build_series(bump_residual(spec, 0.24), epsilon=1e-6),
+            lambda spec: build_exponential_example(spec, mass=0.24, epsilon=1e-6),
+        ],
+        ids=["direct", "through_build_exponential_example"],
+    )
+    def test_window_warning(self, build):
+        spec = GridSpec(dim=1, extent=12.0, points_per_axis=2**11)
+        with pytest.warns(UserWarning, match="widen the window") as record:
+            build(spec)
+        assert len(record) == 1
+        assert record[0].filename == __file__
+
+    @pytest.mark.parametrize(
+        "build",
+        [build_series, build_spectral, critical_moment_theorem_demo],
+        ids=["direct", "build_spectral", "through_critical_moment_theorem_demo"],
+    )
+    def test_clamp_warning(self, build):
+        with pytest.warns(UserWarning, match="clamping") as record:
+            build(dipped_residual())
+        assert len(record) == 1
+        assert record[0].filename == __file__
