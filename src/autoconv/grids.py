@@ -290,14 +290,17 @@ def idft(s: Spectrum) -> GridFunction:
     """
     spec = s.spec
     out = np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(s.values))) / spec.cell_volume
-    peak = float(np.abs(out).max())
-    imag_peak = float(np.abs(out.imag).max())
+    check_real(float(np.abs(out.imag).max()), float(np.abs(out).max()))
+    return GridFunction(spec=spec, values=out.real)
+
+
+def check_real(imag_peak: float, peak: float) -> None:
+    """Refuse an inverse whose imaginary residue exceeds IDFT_IMAG_TOL of its peak."""
     if imag_peak > IDFT_IMAG_TOL * peak:
         raise ValueError(
             f"spectrum is not conjugate symmetric (imaginary residue {imag_peak:.3e} "
             f"vs peak {peak:.3e})"
         )
-    return GridFunction(spec=spec, values=out.real)
 
 
 def restrict(g: GridFunction, extent: float) -> GridFunction:

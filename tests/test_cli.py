@@ -217,6 +217,20 @@ def test_clt_negative_samples_rejected(tmp_path, capsys):
     assert not (tmp_path / "clt.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, seed", [(["--seed=-1"], -1), (["--seed", "-5", "--samples", "0"], -5)]
+)
+def test_clt_negative_seed_rejected(tmp_path, capsys, argv, seed):
+    code = main(["clt", "--kind", "finite_variance", *argv, "--out-dir", str(tmp_path)])
+    assert code == 1
+    out = capsys.readouterr().out.strip()
+    assert len(out.splitlines()) == 1
+    assert strict_loads(out)["error"] == (
+        f"ValueError: seed must be None or a nonnegative integer, got {seed}"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_clt_density_once_per_n(tmp_path, monkeypatch):
     seen = []
     original = clt.rescaled_density

@@ -25,13 +25,19 @@ def normalized(spec, evaluator):
     return GridFunction(spec=spec, values=raw.values / integrate(raw))
 
 
+def half_frequencies(spec):
+    """m/(2L) for m = 0..N/2: axis 0 of the half layout."""
+    return np.arange(spec.points_per_axis // 2 + 1) / (2.0 * spec.extent)
+
+
 def direct_charfun(w, out_spec, n):
-    """Oracle: the quadrature sum h^d sum_j w_j exp(-i 2 pi (k/sqrt(n)) . x_j),
-    one dense N x M kernel per axis."""
-    freqs = out_spec.axis_frequencies() / math.sqrt(n)
-    kernel = np.exp(-2j * np.pi * np.outer(freqs, w.spec.axis_nodes()))
+    """Oracle: the quadrature sum h^d sum_j w_j exp(-i 2 pi (k/sqrt(n)) . x_j)
+    in the half layout (m = 0..N/2 along axis 0, the grid's frequencies along
+    later axes), one dense M x N kernel per axis."""
     values = w.values.astype(np.complex128)
     for axis in range(w.spec.dim):
+        freqs = out_spec.axis_frequencies() if axis else half_frequencies(out_spec)
+        kernel = np.exp(-2j * np.pi * np.outer(freqs / math.sqrt(n), w.spec.axis_nodes()))
         values = np.moveaxis(np.tensordot(kernel, values, axes=([1], [axis])), 0, axis)
     return values * w.spec.cell_volume
 
@@ -77,6 +83,26 @@ class TestRescaledDensity:
         with pytest.raises(ValueError, match="conjugate symmetric"):
             rescaled_density(GridFunction(spec=spec, values=values), 2)
 
+    @pytest.mark.parametrize(
+        "along_x1, along_x2", [(1, 0), (0, 1), (1, -1), ("gauss", 1), (1, "gauss")]
+    )
+    def test_unresolved_density_rejected_in_two_dimensions(self, along_x1, along_x2):
+        # the same point mass, off the origin along either axis or both; with
+        # a Gaussian profile along one axis, only the other one is unresolved
+        spec = GridSpec(dim=2, extent=8.0, points_per_axis=64)
+
+        def profile(offset):
+            if offset == "gauss":
+                return np.exp(-(spec.axis_nodes() ** 2) / 2.0)
+            column = np.zeros(spec.points_per_axis)
+            column[spec.points_per_axis // 2 + offset] = 1.0
+            return column
+
+        values = np.outer(profile(along_x1), profile(along_x2))
+        w = GridFunction(spec=spec, values=values / (values.sum() * spec.cell_volume))
+        with pytest.raises(ValueError, match="conjugate symmetric"):
+            rescaled_density(w, 2)
+
     def test_clamp_warning_names_the_mass_it_removed(self):
         # The unit-variance box rings: its n = 2 density dips to about
         # -5.6e-5, while at n = 1 and n = 5 no value falls below -1e-8.
@@ -92,8 +118,8 @@ class TestRescaledDensity:
         assert out.values.min() == 0.0
         assert record[0].filename == __file__
         named = float(re.search(r"removes L1 mass (\S+)$", str(record[0].message)).group(1))
-        squared = grids.Spectrum(spec=spec, values=_charfun_on_scaled_lattice(w, 2) ** 2)
-        raw = grids.idft(squared).values
+        squared = _charfun_on_scaled_lattice(w, 2) ** 2
+        raw = np.fft.fftshift(np.fft.irfft(squared, spec.points_per_axis)) / spec.spacing
         assert raw.min() < -1e-5
         assert named == pytest.approx(np.maximum(-raw, 0.0).sum() * spec.cell_volume, rel=1e-9)
 
@@ -116,7 +142,7 @@ class TestRescaledDensity:
         w = normalized(spec, gaussian_density())
         fast = _charfun_on_scaled_lattice(w, 4)
         nodes = spec.axis_nodes()
-        freqs = spec.axis_frequencies() / 2.0
+        freqs = half_frequencies(spec) / 2.0
         direct = (
             np.exp(-2j * np.pi * np.outer(freqs, nodes)) @ w.values
         ) * spec.spacing
@@ -153,34 +179,84 @@ class TestRescaledDensity:
         out_spec = GridSpec(dim=dim, extent=out_extent, points_per_axis=out_points)
         got = _charfun_on_scaled_lattice(w, n)
         want = direct_charfun(w, out_spec, n)
-        assert got.shape == out_spec.shape
+        assert got.shape == (out_points // 2 + 1,) + out_spec.shape[1:]
         assert np.abs(want.imag).max() > 1e-3
         assert np.abs(got - want).max() <= 1e-13
 
     @pytest.mark.parametrize("n", [2, 3, 16])
     @pytest.mark.parametrize("dim, points", [(1, 8), (1, 512), (2, 8), (2, 512)])
     def test_lowest_frequency_slot(self, dim, points, n):
-        # m = -N/2 has no partner -m on the grid: the first axis takes it
-        # from conj(X(N/2)), computed past the grid's top frequency
+        # m = -N/2 has no partner -m on the grid: the half layout holds
+        # X(N/2), past the grid's top frequency, in its last row along axis 0
         spec = GridSpec(dim=dim, extent=8.0, points_per_axis=points)
         # one-sided along x1: its transform 1/(1 + i 2 pi k) is still large there
         w = normalized(spec, one_sided)
-        got = _charfun_on_scaled_lattice(w, n)[0]
-        want = direct_charfun(w, spec, n)[0]
+        got = _charfun_on_scaled_lattice(w, n)[-1]
+        want = direct_charfun(w, spec, n)[-1]
         assert np.abs(want.imag).max() > 1e-3
         assert np.abs(got - want).max() <= 1e-13
+
+    @pytest.mark.parametrize("n", [1, 3, 16])
+    @pytest.mark.parametrize(
+        "rows, cols",
+        [
+            # one-sided: x1 >= 0 only; in d = 2 with zero columns inside the slab
+            (np.r_[32:50], np.r_[20:24, 40:44]),
+            # off center, with zero rows between two blocks
+            (np.r_[5:17, 40:45], np.r_[50:64]),
+            # a single node, off the origin
+            (np.r_[37], np.r_[9]),
+            # touching j = -N/2, and the top node j = N/2 - 1 along axis 1
+            (np.r_[0:9], np.r_[0, 60:64]),
+        ],
+    )
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_support_slab_matches_direct_sum(self, dim, rows, cols, n):
+        # the transform covers only the slices from the first nonzero one to
+        # the last; what it leaves out are exact zeros
+        spec = GridSpec(dim=dim, extent=8.0, points_per_axis=64)
+        mask = np.zeros(spec.shape, dtype=bool)
+        mask[np.ix_(rows, cols)[: dim]] = True
+        rng = np.random.default_rng(rows.size + 10 * n)
+        values = np.where(mask, rng.uniform(0.5, 1.5, spec.shape), 0.0)
+        w = GridFunction(spec=spec, values=values / (values.sum() * spec.cell_volume))
+        got = _charfun_on_scaled_lattice(w, n)
+        want = direct_charfun(w, spec, n)
+        assert np.abs(got - want).max() <= 1e-13
+
+    @pytest.mark.parametrize(
+        "kind, length", [("finite_variance", 196_608), ("infinite_variance", 393_216)]
+    )
+    def test_fft_lengths_at_the_cli_grid(self, monkeypatch, kind, length):
+        # the uniform summand is nonzero on 28,377 of 2^18 nodes: its first-axis
+        # FFTs need 28,377 + 131,073 - 1 points, the heavy tail's 2^18 + 131,073 - 1
+        spec, evaluator = clt._summand(kind)[:2]
+        w = normalized(spec, evaluator)
+        assert np.count_nonzero(w.values) == (28_377 if kind == "finite_variance" else 2**18)
+        lengths = []
+        for name in ("fft", "ifft"):
+            real = getattr(np.fft, name)
+
+            def spy(a, n=None, *args, _real=real, **kwargs):
+                out = _real(a, n, *args, **kwargs)
+                lengths.append(out.shape[-1])
+                return out
+
+            monkeypatch.setattr(np.fft, name, spy)
+        _charfun_on_scaled_lattice(w, 4)
+        assert lengths == [length] * 3
 
     @pytest.mark.parametrize("n", [3, 16])
     def test_one_axis_matches_scipy_czt(self, n):
         signal = pytest.importorskip("scipy.signal")
         spec = GridSpec(dim=1, extent=4.0, points_per_axis=64)
         w = normalized(spec, lambda x: np.exp(-((x - 1.0) ** 2)))
-        freqs = spec.axis_frequencies() / math.sqrt(n)
+        freqs = half_frequencies(spec) / math.sqrt(n)
         x0, h = spec.axis_nodes()[0], spec.spacing
         # X_m = sum_j w_j A^-j W^(j m) at nu_m = nu_0 + m dnu, x_j = x_0 + j h
         czt = signal.czt(
             w.values,
-            m=spec.points_per_axis,
+            m=freqs.size,
             w=np.exp(-2j * np.pi * (freqs[1] - freqs[0]) * h),
             a=np.exp(2j * np.pi * freqs[0] * h),
         )
@@ -299,6 +375,22 @@ class TestRunExperiment:
     def test_negative_samples_rejected(self):
         with pytest.raises(ValueError, match="mc_samples"):
             run_experiment("finite_variance", n_list=(4,), mc_samples=-3)
+
+    @pytest.mark.parametrize("mc_samples", [0, 10])
+    @pytest.mark.parametrize("seed", [-1, -5, 2.5, 3.0, True, False, "7", np.int64(-2)])
+    def test_seed_must_be_none_or_a_nonnegative_integer(self, monkeypatch, seed, mc_samples):
+        def never(*args):
+            raise AssertionError("a bad seed must be refused before any work")
+
+        monkeypatch.setattr(clt, "sample", never)
+        message = f"seed must be None or a nonnegative integer, got {seed!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_experiments("finite_variance", (1.0,), mc_samples=mc_samples, seed=seed)
+
+    @pytest.mark.parametrize("seed", [None, 0, np.int64(5)])
+    def test_good_seeds_accepted(self, seed):
+        result = run_experiment("infinite_variance", n_list=(4,), mc_samples=200, seed=seed)
+        assert result.seed is seed and len(result.mc_values) == 1
 
     def test_n_list_must_increase(self):
         with pytest.raises(ValueError, match="increasing"):
