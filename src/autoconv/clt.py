@@ -3,12 +3,12 @@
 For a probability density w, the density of n^{-1/2} (X_1 + ... + X_n) is
 computed by the characteristic-function power method: evaluate the
 transform of w at its own grid's frequencies scaled by 1/sqrt(n) (one
-chirp-z transform per axis, for every n, over the slices from the first
-nonzero one to the last), raise to the n-th power, invert on the same
-grid.  w is real, so only the first axis's half m >= 0 is computed,
-powered and inverted (irfftn).  At the CLI's 2^18-point grid a density
-takes 45-105 ms per n for the uniform summand, nonzero on 11 % of it, and
-80-145 ms for the heavy tail (2 cores, numpy 2.4.6).  With finite
+chirp-z transform per axis and n, over the slices from the first nonzero
+one to the last), raise to the n-th power, invert on the same grid.  As w
+is real, only the first axis's half m >= 0 is computed and powered.  On 2
+cores (numpy 2.4.6) a density on the CLI's 2^18-point grid takes 45-105 ms
+per n for the uniform summand, nonzero on 11 % of it, and 80-145 ms for
+the heavy tail.  With finite
 variance the mass in a fixed ball tends to the Gaussian ball mass; with
 infinite variance it drains to zero, which a mandatory Monte Carlo
 cross-check confirms independently of the grid (window truncation alone
@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import heavy_tail_density, heavy_tail_sampler
-from .grids import GridFunction, GridSpec, check_real, integrate, sample, usable_cores, warn
+from .grids import GridFunction, GridSpec, Spectrum, check_real, idft, integrate, sample
+from .grids import usable_cores, warn
 
 DENSITY_CLAMP = 1e-8
 MASS_WARN = 0.02
@@ -80,13 +81,11 @@ def _chirp_z(
     j and m are centered indices, j = -N/2 .. N/2 - 1, and chirp[k] is
     exp(i pi a k^2) for k = 0 .. max |m - j|.  As m j = (m^2 + j^2 -
     (m - j)^2)/2, the sum is conj(chirp_|m|) times the linear convolution
-    of values_j conj(chirp_|j|) with chirp_|m - j| (Bluestein).  Only the S
-    slices from the first nonzero one to the last enter, so FFTs of a
-    length >= S + count - 1 take it without wrap-around.
+    of values_j conj(chirp_|j|) with chirp_|m - j| (Bluestein), j over the
+    S slices spanning the nonzero ones: FFTs of length >= S + count - 1.
     """
     values = np.moveaxis(values, axis, -1)
-    # a mask, not an index array, and gone before the FFTs
-    nonzero = np.any(values != 0, axis=tuple(range(values.ndim - 1)))
+    nonzero = np.any(values != 0, axis=tuple(range(values.ndim - 1)))  # a mask, freed below
     start, stop = int(nonzero.argmax()), nonzero.size - int(nonzero[::-1].argmax())
     del nonzero
     support, offset = stop - start, start - values.shape[-1] // 2
@@ -111,7 +110,7 @@ def _charfun_on_scaled_lattice(w: GridFunction, n: int) -> np.ndarray:
     chirp-z transform per axis, for every n.  The summand is real, so
     X(-m) = conj(X(m)) and only the half layout is computed: m = 0..N/2
     along axis 0 (N/2 lies one past the grid's top frequency) and
-    m = -N/2..N/2-1 along later axes.
+    m = -N/2..N/2 along later axes (the mirror m -> -m needs m = N/2).
     """
     spec = w.spec
     points = spec.points_per_axis
@@ -121,7 +120,7 @@ def _charfun_on_scaled_lattice(w: GridFunction, n: int) -> np.ndarray:
     chirp = np.exp(1j * np.pi * a * np.arange(points + 1, dtype=float) ** 2)
     values = _chirp_z(w.values, 0, chirp, 0, half + 1)
     for axis in range(1, spec.dim):
-        values = _chirp_z(values, axis, chirp, -half, points)
+        values = _chirp_z(values, axis, chirp, -half, points + 1)
     return values * spec.cell_volume
 
 
@@ -130,14 +129,13 @@ def rescaled_density(w: GridFunction, n: int) -> GridFunction:
 
     The half layout of the transform is raised to the n-th power through
     log-magnitude arithmetic, so deep underflow flushes cleanly to zero
-    instead of raising.  irfftn inverts it and drops the imaginary parts of
-    rows m = 0 and N/2 (weight 1/N), where the unpaired slots m = +-N/2
-    show; one above IDFT_IMAG_TOL of the peak (the transform has not
-    decayed by the grid's top frequency, as for a point mass off the
-    origin) raises ValueError, as in idft.  Negative values are ringing
-    and are clamped to 0; values below -DENSITY_CLAMP leave a warning on
-    record naming the minimum and the L1 mass the clamp removed, h^d sum
-    max(-d_j, 0), as does a total mass more than 2 percent away from 1.
+    instead of raising, and inverted by irfft in d = 1, by idft after
+    mirroring in d >= 2.  The unpaired slots m = -N/2 of a transform not
+    decayed by the grid's top frequency (a point mass off the origin) leave
+    an imaginary residue; above IDFT_IMAG_TOL of the peak it raises
+    ValueError.  Negative values are ringing and clamped to 0; values below
+    -DENSITY_CLAMP leave a warning naming the minimum and the L1 mass the
+    clamp removed, h^d sum max(-d_j, 0), as does a mass off 1 by over 2 %.
     """
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
@@ -151,13 +149,17 @@ def rescaled_density(w: GridFunction, n: int) -> GridFunction:
         log_mag = np.log(mag, out=np.full_like(mag, -np.inf), where=mag > 0)
     with np.errstate(under="ignore"):
         powered = np.exp(n * log_mag) * np.exp(1j * n * np.angle(chat))
+    del chat, mag, log_mag  # freed, they took 4 MB off the heavy-tail clt command's peak RSS
 
-    later = tuple(range(1, w.spec.dim))  # irfftn halves the last of its axes
-    edges = np.fft.ifftn(powered[[0, -1]], axes=later).imag / (w.spec.shape[0] * w.spec.cell_volume)
-    density = np.fft.irfftn(np.fft.ifftshift(powered, axes=later), w.spec.shape, axes=(*later, 0))
-    density = np.fft.fftshift(density) / w.spec.cell_volume
+    if w.spec.dim == 1:  # idft's imaginary residue is (-1)^j Im(.)/(N h) of the unpaired m = -N/2
+        imag_peak = abs(powered[-1].imag) / (w.spec.points_per_axis * w.spec.spacing)
+        density = np.fft.fftshift(np.fft.irfft(powered, w.spec.points_per_axis)) / w.spec.spacing
+        check_real(imag_peak, max(float(density.max()), -float(density.min())))
+    else:  # rows -N/2..-1 mirrored by X(-m) = conj(X(m)), so idft sees every unpaired slot
+        trim = (slice(-1),) * w.spec.dim
+        full = np.concatenate((np.flip(powered)[trim].conj(), powered[trim]))
+        density = idft(Spectrum(w.spec, full)).values
     low = float(density.min())
-    check_real(float(np.abs(edges).max()), max(float(density.max()), -low))
     if low < -DENSITY_CLAMP:
         removed = -float(density[density < 0].sum()) * w.spec.cell_volume
         warn(
@@ -250,8 +252,7 @@ def run_experiments(
     "infinite_variance" (the (1+|x|)^-3 density on a wide window, where
     the ball mass decays instead).  Monte Carlo replicates draw n fresh
     samples each through per-cell generator streams spawned from the
-    recorded master seed (None or an integer >= 0, checked before any
-    work); mc_samples = 0 skips the cross-check, < 0 raises.
+    master seed, None or an integer >= 0; mc_samples = 0 skips, < 0 raises.
 
     Each rescaled density and each stream's normalized sums are computed
     once per n and read at every radius; one result per radius comes back
@@ -268,9 +269,8 @@ def run_experiments(
         raise ValueError("n_list must be strictly increasing")
     if mc_samples < 0:
         raise ValueError(f"mc_samples must be nonnegative (0 skips), got {mc_samples}")
-    if seed is not None and (
-        isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0
-    ):
+    integral = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
+    if seed is not None and not (integral and seed >= 0):
         raise ValueError(f"seed must be None or a nonnegative integer, got {seed!r}")
     spec, evaluator, sampler, limit = _summand(w_kind)
     raw = sample(spec, evaluator)

@@ -30,13 +30,19 @@ def half_frequencies(spec):
     return np.arange(spec.points_per_axis // 2 + 1) / (2.0 * spec.extent)
 
 
+def closed_frequencies(spec):
+    """m/(2L) for m = -N/2..N/2: later axes of the half layout."""
+    half = spec.points_per_axis // 2
+    return np.arange(-half, half + 1) / (2.0 * spec.extent)
+
+
 def direct_charfun(w, out_spec, n):
     """Oracle: the quadrature sum h^d sum_j w_j exp(-i 2 pi (k/sqrt(n)) . x_j)
-    in the half layout (m = 0..N/2 along axis 0, the grid's frequencies along
-    later axes), one dense M x N kernel per axis."""
+    in the half layout (m = 0..N/2 along axis 0, m = -N/2..N/2 along later
+    axes), one dense M x N kernel per axis."""
     values = w.values.astype(np.complex128)
     for axis in range(w.spec.dim):
-        freqs = out_spec.axis_frequencies() if axis else half_frequencies(out_spec)
+        freqs = closed_frequencies(out_spec) if axis else half_frequencies(out_spec)
         kernel = np.exp(-2j * np.pi * np.outer(freqs / math.sqrt(n), w.spec.axis_nodes()))
         values = np.moveaxis(np.tensordot(kernel, values, axes=([1], [axis])), 0, axis)
     return values * w.spec.cell_volume
@@ -84,7 +90,8 @@ class TestRescaledDensity:
             rescaled_density(GridFunction(spec=spec, values=values), 2)
 
     @pytest.mark.parametrize(
-        "along_x1, along_x2", [(1, 0), (0, 1), (1, -1), ("gauss", 1), (1, "gauss")]
+        "along_x1, along_x2",
+        [(1, 0), (0, 1), (1, -1), ("gauss", 1), (1, "gauss"), ("sheared", None)],
     )
     def test_unresolved_density_rejected_in_two_dimensions(self, along_x1, along_x2):
         # the same point mass, off the origin along either axis or both; with
@@ -98,7 +105,15 @@ class TestRescaledDensity:
             column[spec.points_per_axis // 2 + offset] = 1.0
             return column
 
-        values = np.outer(profile(along_x1), profile(along_x2))
+        if along_x1 == "sheared":
+            # (g(x1) delta(x2 - h) + g(x1 - 1) delta(x2 + h))/2: the x2
+            # marginal is symmetric and X(N/2, .) has decayed, so only the
+            # slots m2 = -N/2 of the rows 0 < m1 < N/2 show the residue
+            x1 = spec.axis_nodes()[:, None]
+            values = np.exp(-(x1**2) / 2.0) * profile(1)
+            values += np.exp(-((x1 - 1.0) ** 2) / 2.0) * profile(-1)
+        else:
+            values = np.outer(profile(along_x1), profile(along_x2))
         w = GridFunction(spec=spec, values=values / (values.sum() * spec.cell_volume))
         with pytest.raises(ValueError, match="conjugate symmetric"):
             rescaled_density(w, 2)
@@ -118,8 +133,10 @@ class TestRescaledDensity:
         assert out.values.min() == 0.0
         assert record[0].filename == __file__
         named = float(re.search(r"removes L1 mass (\S+)$", str(record[0].message)).group(1))
+        # the full spectrum from the half layout, m = -N/2..N/2-1, through idft
         squared = _charfun_on_scaled_lattice(w, 2) ** 2
-        raw = np.fft.fftshift(np.fft.irfft(squared, spec.points_per_axis)) / spec.spacing
+        full = np.concatenate((squared[:0:-1].conj(), squared[:-1]))
+        raw = grids.idft(grids.Spectrum(spec=spec, values=full)).values
         assert raw.min() < -1e-5
         assert named == pytest.approx(np.maximum(-raw, 0.0).sum() * spec.cell_volume, rel=1e-9)
 
@@ -179,7 +196,7 @@ class TestRescaledDensity:
         out_spec = GridSpec(dim=dim, extent=out_extent, points_per_axis=out_points)
         got = _charfun_on_scaled_lattice(w, n)
         want = direct_charfun(w, out_spec, n)
-        assert got.shape == (out_points // 2 + 1,) + out_spec.shape[1:]
+        assert got.shape == (out_points // 2 + 1,) + (out_points + 1,) * (dim - 1)
         assert np.abs(want.imag).max() > 1e-3
         assert np.abs(got - want).max() <= 1e-13
 
