@@ -1,25 +1,25 @@
 """Escape of mass under rescaled n-fold self-convolution.
 
-For a probability density w, the density of n^{-1/2} (X_1 + ... + X_n) is
-computed by the characteristic-function power method: evaluate the
-transform of w at its own grid's frequencies scaled by 1/sqrt(n) (one
-chirp-z transform per axis and n, over the slices from the first nonzero
-one to the last), raise to the n-th power, invert on the same grid.  As w
-is real, only the first axis's half m >= 0 is computed and powered.  On 2
-cores (numpy 2.4.6) a density on the CLI's 2^18-point grid takes 45-105 ms
-per n for the uniform summand, nonzero on 11 % of it, and 80-145 ms for
-the heavy tail.  With finite
-variance the mass in a fixed ball tends to the Gaussian ball mass; with
-infinite variance it drains to zero, which a mandatory Monte Carlo
+The experiment is one-dimensional.  For a probability density w on a
+line grid, the density of n^{-1/2} (X_1 + ... + X_n) is computed by the
+characteristic-function power method: evaluate the transform of w at its
+own grid's frequencies scaled by 1/sqrt(n) (one chirp-z transform per n,
+over the nodes from the first nonzero one to the last), raise to the n-th
+power, invert on the same grid.  As w is real, only the half m >= 0 is
+computed, powered and inverted (irfft).  On 2 cores (numpy 2.4.6) a
+density on the CLI's 2^18-point grid takes 45-105 ms per n for the uniform
+summand, nonzero on 11 % of it, and 80-145 ms for the heavy tail.  With
+finite variance the mass in a fixed ball tends to the Gaussian ball mass;
+with infinite variance it drains to zero, which a mandatory Monte Carlo
 cross-check confirms independently of the grid (window truncation alone
 would fake a finite variance).
 
 run_experiments draws the Monte Carlo sums as one future on a worker
 thread, beside the grid densities that the calling thread builds when more
 than one core is usable (both halves run numpy code that releases the GIL)
-and after them on one core, at most _MC_CHUNK scalars at a time.  The
-draws come from per-n streams of the recorded seed, so results depend
-neither on which nor on the batch size.
+and after them on one core, _MC_CHUNK // n rows of n draws at a time, or
+one row when n > _MC_CHUNK.  The draws come from per-n streams of the
+recorded seed, so results depend neither on which nor on the batch size.
 """
 
 from __future__ import annotations
@@ -32,19 +32,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import heavy_tail_density, heavy_tail_sampler
-from .grids import GridFunction, GridSpec, Spectrum, check_real, idft, integrate, sample
+from .grids import GridFunction, GridSpec, check_real, integrate, sample_with_mass
 from .grids import usable_cores, warn
 
 DENSITY_CLAMP = 1e-8
 MASS_WARN = 0.02
 
-# Scalar draws per Monte Carlo batch: 2 MB of float64, one core's L2 cache on
-# the 2-core host where it was chosen.  Alone, the infinite-variance Monte
-# Carlo of the clt command took 0.35-0.47 s in such batches and 0.48-0.68 s in
-# 8 MB ones (two of three interleaved sets; the third showed no difference).
-# Beside the grid half the wall times did not differ measurably, and the clt
-# commands' benchmark peaked at 95 MB instead of 108 MB.  The draws do not
-# depend on the batch size.
+# Scalar draws per Monte Carlo batch (a batch is one row of n draws when n
+# exceeds it): 2 MB of float64, one core's L2 cache on the 2-core host where
+# it was chosen.  Alone, the infinite-variance Monte Carlo of the clt command
+# took 0.35-0.47 s in such batches and 0.48-0.68 s in 8 MB ones (two of three
+# interleaved sets; the third showed no difference).  Beside the grid half the
+# wall times did not differ measurably, and the clt commands' benchmark peaked
+# at 95 MB instead of 108 MB.  The draws do not depend on the batch size.
 _MC_CHUNK = 2**18
 
 # Summand grids: the unit-variance uniform sits well inside [-16, 16); the
@@ -73,95 +73,73 @@ def _fft_length(target: int) -> int:
     return 3 * power // 4 if 3 * power // 4 >= target else power
 
 
-def _chirp_z(
-    values: np.ndarray, axis: int, chirp: np.ndarray, first: int, count: int
-) -> np.ndarray:
-    """sum_j values_j exp(-i 2 pi a m j) along axis, for m = first .. first + count - 1.
-
-    j and m are centered indices, j = -N/2 .. N/2 - 1, and chirp[k] is
-    exp(i pi a k^2) for k = 0 .. max |m - j|.  As m j = (m^2 + j^2 -
-    (m - j)^2)/2, the sum is conj(chirp_|m|) times the linear convolution
-    of values_j conj(chirp_|j|) with chirp_|m - j| (Bluestein), j over the
-    S slices spanning the nonzero ones: FFTs of length >= S + count - 1.
-    """
-    values = np.moveaxis(values, axis, -1)
-    nonzero = np.any(values != 0, axis=tuple(range(values.ndim - 1)))  # a mask, freed below
-    start, stop = int(nonzero.argmax()), nonzero.size - int(nonzero[::-1].argmax())
-    del nonzero
-    support, offset = stop - start, start - values.shape[-1] // 2
-    size = _fft_length(support + count - 1)
-    spectrum = values[..., start:stop] * chirp[np.abs(np.arange(offset, offset + support))].conj()
-    spectrum = np.fft.fft(spectrum, size)
-    lags = np.abs(np.arange(first + 1 - offset - support, first + count - offset))  # every m - j
-    spectrum *= np.fft.fft(chirp[lags], size)
-    product = np.fft.ifft(spectrum)
-    del spectrum
-    out_twist = chirp[np.abs(np.arange(first, first + count))].conj()
-    window = product[..., support - 1 : support - 1 + count] * out_twist
-    del product
-    return np.moveaxis(window, -1, axis)
-
-
 def _charfun_on_scaled_lattice(w: GridFunction, n: int) -> np.ndarray:
-    """h^d sum_j w_j exp(-i 2 pi (k_m/sqrt(n)) . x_j) at the grid's own frequencies.
+    """h sum_j w_j exp(-i 2 pi (k_m/sqrt(n)) x_j) for m = 0..N/2.
 
     In centered indices x_j = h j and k_m/sqrt(n) = m/(2 L sqrt(n)), so
-    each axis sums exp(-i 2 pi a m j) with a = h/(2 L sqrt(n)): one
-    chirp-z transform per axis, for every n.  The summand is real, so
-    X(-m) = conj(X(m)) and only the half layout is computed: m = 0..N/2
-    along axis 0 (N/2 lies one past the grid's top frequency) and
-    m = -N/2..N/2 along later axes (the mirror m -> -m needs m = N/2).
+    the sum is over exp(-i 2 pi a m j) with a = h/(2 L sqrt(n)): a chirp-z
+    transform for every n.  With chirp_k = exp(i pi a k^2) and m j = (m^2 +
+    j^2 - (m - j)^2)/2, it is conj(chirp_m) times the linear convolution of
+    w_j conj(chirp_|j|) with chirp_|m - j| (Bluestein), j over the S nodes
+    from the first nonzero one to the last: FFTs of length >= S + N/2.  The
+    summand is real, so X(-m) = conj(X(m)) and only m >= 0 is computed;
+    m = N/2 lies one past the grid's top frequency.
     """
     spec = w.spec
     points = spec.points_per_axis
-    half = points // 2
+    count = points // 2 + 1
     a = spec.spacing / (2.0 * spec.extent * math.sqrt(n))
     # exp(i pi a t^2) is even in t; |m - j| never exceeds N
     chirp = np.exp(1j * np.pi * a * np.arange(points + 1, dtype=float) ** 2)
-    values = _chirp_z(w.values, 0, chirp, 0, half + 1)
-    for axis in range(1, spec.dim):
-        values = _chirp_z(values, axis, chirp, -half, points + 1)
-    return values * spec.cell_volume
+    nonzero = w.values != 0  # a mask, freed below
+    start, stop = int(nonzero.argmax()), points - int(nonzero[::-1].argmax())
+    del nonzero
+    support, offset = stop - start, start - points // 2
+    size = _fft_length(support + count - 1)
+    spectrum = w.values[start:stop] * chirp[np.abs(np.arange(offset, offset + support))].conj()
+    spectrum = np.fft.fft(spectrum, size)
+    lags = np.abs(np.arange(1 - offset - support, count - offset))  # every m - j
+    spectrum *= np.fft.fft(chirp[lags], size)
+    product = np.fft.ifft(spectrum)
+    del spectrum
+    window = product[support - 1 : support - 1 + count] * chirp[:count].conj()
+    del product
+    window *= spec.spacing
+    return window
 
 
 def rescaled_density(w: GridFunction, n: int) -> GridFunction:
-    """Density of the normalized n-fold sum, on the grid of w.
+    """Density of the normalized n-fold sum, on the one-dimensional grid of w.
 
-    The half layout of the transform is raised to the n-th power through
-    log-magnitude arithmetic, so deep underflow flushes cleanly to zero
-    instead of raising, and inverted by irfft in d = 1, by idft after
-    mirroring in d >= 2.  The unpaired slots m = -N/2 of a transform not
-    decayed by the grid's top frequency (a point mass off the origin) leave
-    an imaginary residue; above IDFT_IMAG_TOL of the peak it raises
-    ValueError.  Negative values are ringing and clamped to 0; values below
-    -DENSITY_CLAMP leave a warning naming the minimum and the L1 mass the
-    clamp removed, h^d sum max(-d_j, 0), as does a mass off 1 by over 2 %.
+    The half spectrum m = 0..N/2 of the transform is raised to the n-th
+    power, deep underflow flushing to zero, and inverted by irfft.  The
+    full spectrum's one unpaired slot, m = -N/2, leaves the imaginary
+    residue that irfft drops; above IDFT_IMAG_TOL of the peak (a point
+    mass off the origin) it raises ValueError.  Negative values are ringing and clamped to 0;
+    values below -DENSITY_CLAMP leave a warning naming the minimum and the
+    L1 mass the clamp removed, h sum max(-d_j, 0), as does a mass off 1 by
+    over 2 %.
     """
+    if w.spec.dim != 1:
+        raise ValueError(f"rescaled_density is one-dimensional, got a grid with dim={w.spec.dim}")
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     mass = integrate(w)
     if abs(mass - 1.0) > 1e-4:
         raise ValueError(f"input must be a probability density; mass = {mass:.6f}")
 
-    chat = _charfun_on_scaled_lattice(w, n)
-    mag = np.abs(chat)
-    with np.errstate(divide="ignore"):
-        log_mag = np.log(mag, out=np.full_like(mag, -np.inf), where=mag > 0)
+    points, h = w.spec.points_per_axis, w.spec.spacing
+    powered = _charfun_on_scaled_lattice(w, n)
     with np.errstate(under="ignore"):
-        powered = np.exp(n * log_mag) * np.exp(1j * n * np.angle(chat))
-    del chat, mag, log_mag  # freed, they took 4 MB off the heavy-tail clt command's peak RSS
-
-    if w.spec.dim == 1:  # idft's imaginary residue is (-1)^j Im(.)/(N h) of the unpaired m = -N/2
-        imag_peak = abs(powered[-1].imag) / (w.spec.points_per_axis * w.spec.spacing)
-        density = np.fft.fftshift(np.fft.irfft(powered, w.spec.points_per_axis)) / w.spec.spacing
-        check_real(imag_peak, max(float(density.max()), -float(density.min())))
-    else:  # rows -N/2..-1 mirrored by X(-m) = conj(X(m)), so idft sees every unpaired slot
-        trim = (slice(-1),) * w.spec.dim
-        full = np.concatenate((np.flip(powered)[trim].conj(), powered[trim]))
-        density = idft(Spectrum(w.spec, full)).values
+        powered **= n
+    # the full inverse's imaginary residue, (-1)^j Im(X(N/2)^n)/(N h), which irfft drops
+    imag_peak = abs(powered[-1].imag) / (points * h)
+    density = np.fft.fftshift(np.fft.irfft(powered, points)) / h
+    del powered
     low = float(density.min())
+    check_real(imag_peak, max(float(density.max()), -low))
     if low < -DENSITY_CLAMP:
-        removed = -float(density[density < 0].sum()) * w.spec.cell_volume
+        removed = -float(density[density < 0].sum()) * h
         warn(
             f"rescaled density has negative values down to {low:.3e}; clamping "
             f"them removes L1 mass {removed:.12e}"
@@ -196,9 +174,10 @@ def phi_functional(density: GridFunction) -> float:
 def _monte_carlo(sampler, radii, n_list, mc_samples, seed, stop: threading.Event):
     """Monte Carlo ball masses and standard errors, one list per radius.
 
-    Each n draws from its own stream spawned from seed, at most _MC_CHUNK
-    scalars at a time.  A set stop event ends the run between chunks and
-    returns None.
+    Each n draws from its own stream spawned from seed, in chunks of
+    max(1, _MC_CHUNK // n) rows of n scalars: at most _MC_CHUNK scalars
+    while n <= _MC_CHUNK, one row of n beyond.  A set stop event ends the
+    run between chunks and returns None.
     """
     mc_values: list[list[float]] = [[] for _ in radii]
     mc_stderr: list[list[float]] = [[] for _ in radii]
@@ -252,7 +231,8 @@ def run_experiments(
     "infinite_variance" (the (1+|x|)^-3 density on a wide window, where
     the ball mass decays instead).  Monte Carlo replicates draw n fresh
     samples each through per-cell generator streams spawned from the
-    master seed, None or an integer >= 0; mc_samples = 0 skips, < 0 raises.
+    master seed, None or an integer >= 0.  mc_samples must be an integer
+    >= 0, and 0 skips the Monte Carlo; a bad one raises before any work.
 
     Each rescaled density and each stream's normalized sums are computed
     once per n and read at every radius; one result per radius comes back
@@ -267,15 +247,17 @@ def run_experiments(
     n_list = tuple(int(n) for n in n_list)
     if list(n_list) != sorted(set(n_list)):
         raise ValueError("n_list must be strictly increasing")
-    if mc_samples < 0:
-        raise ValueError(f"mc_samples must be nonnegative (0 skips), got {mc_samples}")
-    integral = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
-    if seed is not None and not (integral and seed >= 0):
+
+    def nonnegative_integer(value) -> bool:
+        integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+        return integral and value >= 0
+
+    if not nonnegative_integer(mc_samples):
+        raise ValueError(f"mc_samples must be a nonnegative integer (0 skips), got {mc_samples!r}")
+    if seed is not None and not nonnegative_integer(seed):
         raise ValueError(f"seed must be None or a nonnegative integer, got {seed!r}")
     spec, evaluator, sampler, limit = _summand(w_kind)
-    raw = sample(spec, evaluator)
-    density = GridFunction(spec=spec, values=raw.values / integrate(raw))
-    del raw  # unnormalised samples; kept alive they would raise the peak memory
+    density = sample_with_mass(spec, evaluator, 1.0)
 
     from concurrent.futures import ThreadPoolExecutor  # here, so that importing clt stays cheap
 

@@ -2,11 +2,15 @@ import functools
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import autoconv
 from autoconv import analyze, cli, clt, construct, families, grids
 from autoconv.cli import main
 from oracles import write_rows_per_cell
@@ -856,3 +860,14 @@ def test_construct_spectral_only(tmp_path, residual):
         assert b == pytest.approx(0.2, abs=1e-12)
     assert (tmp_path / "construct_spectral.csv").exists()
     assert not (tmp_path / "construct_series.csv").exists()
+
+
+def test_importing_the_cli_stays_cheap():
+    # the thread and process pools and decimal load only when a command needs them
+    heavy = ("concurrent.futures", "multiprocessing", "decimal")
+    paths = (os.path.dirname(os.path.dirname(autoconv.__file__)), os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    probe = f"import sys, autoconv.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
