@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .construct import SeriesBuild, build_series
-from .grids import GridFunction, convolve, integrate, moment, restrict
+from .grids import GridFunction, check_count, check_number, convolve, integrate, moment, restrict
 
 # Fraction of the window (per axis, measured from the boundary) excluded
 # from the violation scan: linear convolution under-computes f*f there.
@@ -107,8 +107,7 @@ def scan_residual(
     """
     if tolerance is None:
         tolerance = 1e-6 * float(np.abs(f.values).max(initial=0.0)) + 1e-12
-    if not 0 < tolerance < math.inf:
-        raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
+    check_number("tolerance", tolerance)
     if residual.spec != f.spec:
         raise ValueError("grid specs do not match")
 
@@ -160,10 +159,8 @@ def moment_scan(f: GridFunction, order: float, levels: int = 4) -> MomentReport:
     geometrically.  A diverging-moment verdict on a finite grid is a
     growth signature, never a proof.
     """
-    if not 0 <= order < math.inf:
-        raise ValueError(f"order must be finite and nonnegative, got {order}")
-    if levels < 3:
-        raise ValueError(f"levels must be at least 3, got {levels}")
+    check_number("order", order, "nonnegative")
+    check_count("levels", levels, 3, "an integer >= 3")
     if not positivity_check(f).nonnegative:
         raise ValueError("moment_scan requires a nonnegative function")
 
@@ -199,7 +196,8 @@ def exp_tail_fit(f: GridFunction, inner: float) -> TailFit:
     make the log undefined and raise.
     """
     outer = TAIL_FIT_OUTER * f.spec.extent
-    if not 0.0 < inner < outer:
+    check_number("inner", inner)
+    if inner >= outer:
         raise ValueError(f"need 0 < inner < {outer}, got inner = {inner}")
     dist = f.spec.radii()
     sel = (dist >= inner) & (dist <= outer)

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import heavy_tail_density, heavy_tail_sampler
-from .grids import GridFunction, GridSpec, check_real, integrate, sample_with_mass
-from .grids import usable_cores, warn
+from .grids import GridFunction, GridSpec, check_count, check_number, check_real, integrate
+from .grids import sample_with_mass, usable_cores, warn
 
 DENSITY_CLAMP = 1e-8
 MASS_WARN = 0.02
@@ -122,8 +122,7 @@ def rescaled_density(w: GridFunction, n: int) -> GridFunction:
     """
     if w.spec.dim != 1:
         raise ValueError(f"rescaled_density is one-dimensional, got a grid with dim={w.spec.dim}")
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    check_count("n", n)
     mass = integrate(w)
     if abs(mass - 1.0) > 1e-4:
         raise ValueError(f"input must be a probability density; mass = {mass:.6f}")
@@ -236,26 +235,21 @@ def run_experiments(
 
     Each rescaled density and each stream's normalized sums are computed
     once per n and read at every radius; one result per radius comes back
-    in radii order, duplicates included.  Radii must be finite and > 0.
+    in radii order, duplicates included.  Radii must be finite and > 0,
+    and n_list strictly increasing integers >= 1; neither may be empty.
     """
-    radii = tuple(radii)
-    if not radii or not all(math.isfinite(r) and r > 0 for r in radii):
-        raise ValueError(f"ball radii must be finite and positive, got {list(radii)}")
+    radii, n_list = tuple(radii), tuple(n_list)
+    if not radii:
+        raise ValueError("ball radii must be non-empty, got ()")
+    for radius in radii:
+        check_number("ball radii", radius)
     for n in n_list:
-        if isinstance(n, bool) or not float(n).is_integer() or n < 1:
-            raise ValueError(f"n_list entries must be positive integers, got {n!r}")
-    n_list = tuple(int(n) for n in n_list)
-    if list(n_list) != sorted(set(n_list)):
-        raise ValueError("n_list must be strictly increasing")
-
-    def nonnegative_integer(value) -> bool:
-        integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-        return integral and value >= 0
-
-    if not nonnegative_integer(mc_samples):
-        raise ValueError(f"mc_samples must be a nonnegative integer (0 skips), got {mc_samples!r}")
-    if seed is not None and not nonnegative_integer(seed):
-        raise ValueError(f"seed must be None or a nonnegative integer, got {seed!r}")
+        check_count("n_list entries", n, 1, "positive integers")
+    if not n_list or list(n_list) != sorted(set(n_list)):
+        raise ValueError(f"n_list must be non-empty and strictly increasing, got {n_list!r}")
+    check_count("mc_samples", mc_samples, 0, "a nonnegative integer (0 skips)")
+    if seed is not None:
+        check_count("seed", seed, 0, "None or a nonnegative integer")
     spec, evaluator, sampler, limit = _summand(w_kind)
     density = sample_with_mass(spec, evaluator, 1.0)
 

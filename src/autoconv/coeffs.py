@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import write_csv
+from .grids import check_count, write_csv
 
 # The recurrence step c*(2n-1)/(2n+2) is exact in float64 while the odd
 # numerator (a Catalan number) fits in 53 bits, which holds up to n ~ 30.
@@ -58,8 +58,7 @@ def build_coeffs(n_max: int) -> CoeffTable:
     1 - S_n = (2n+2) c_{n+1} off it, as (2n+2) c_{n+1} - (2n+4) c_{n+2} =
     c_{n+1} telescopes: no cancellation, within about an ulp of exact.
     """
-    if not isinstance(n_max, (int, np.integer)) or n_max < 1:
-        raise ValueError(f"n_max must be a positive integer, got {n_max!r}")
+    check_count("n_max", n_max)
     n_max = int(n_max)
 
     values = np.empty(n_max + 1)
@@ -92,10 +91,7 @@ def tail_bound(table: CoeffTable, n_terms: int, ratio: float) -> float:
     """
     if not 0.0 <= ratio <= 1.0:
         raise ValueError(f"ratio must lie in [0, 1], got {ratio}")
-    if not 1 <= n_terms < table.n_max:
-        raise ValueError(
-            f"n_terms must satisfy 1 <= n_terms < n_max = {table.n_max}, got {n_terms}"
-        )
+    check_count("n_terms", n_terms, 1, f"an integer in [1, n_max = {table.n_max})", table.n_max - 1)
     if ratio == 0.0:
         return 0.0
     bound = float((2 * n_terms + 2) * table.values[n_terms])
@@ -132,8 +128,7 @@ def remainder(n: int) -> float:
     40-digit decimal arithmetic, within 1e-24 relative of exact, so the
     float is the nearest one unless the value lies that close to a tie.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    check_count("n", n)
     n = int(n)
     if n <= EXACT_REMAINDER_N:
         return math.comb(2 * n, n) / 4**n  # int division rounds once

@@ -16,7 +16,6 @@ tail_l1 alone does not bound at critical mass (see crosscheck).
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +26,7 @@ from .grids import (
     GridFunction,
     GridSpec,
     Spectrum,
+    check_number,
     dft,
     idft,
     integrate,
@@ -153,8 +153,7 @@ def build_series(u: GridFunction, epsilon: float | None = None) -> SeriesBuild:
     capped_ratio = min(ratio, 1.0)
     if epsilon is None:
         epsilon = default_epsilon(capped_ratio)
-    if not 0 < epsilon < math.inf:
-        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
+    check_number("epsilon", epsilon)
 
     table = _coeff_table()
     n_terms = terms_for_tail(table, capped_ratio, 2.0 * epsilon)

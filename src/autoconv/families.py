@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridFunction, GridSpec, sample
+from .grids import GridFunction, GridSpec, check_number, sample
 
 # Gamma((d+1)/2) for d = 1, 2, 3; no general gamma function is needed.
 _HALF_GAMMA = {1: 1.0, 2: math.sqrt(math.pi) / 2.0, 3: 1.0}
@@ -29,10 +29,8 @@ class PoissonParams:
     t: float
 
     def __post_init__(self):
-        for name in ("a", "t"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and strictly positive, got {value}")
+        check_number("a", self.a)
+        check_number("t", self.t)
 
 
 @dataclass(frozen=True)
@@ -42,8 +40,7 @@ class SincParams:
     a: float
 
     def __post_init__(self):
-        if not 0 < self.a < math.inf:
-            raise ValueError(f"a must be finite and strictly positive, got {self.a}")
+        check_number("a", self.a)
 
 
 def poisson(params: PoissonParams):
@@ -101,8 +98,7 @@ def sinc_counterexample(params: SincParams):
 
 def gaussian_density(sigma: float = 1.0):
     """Centered Gaussian probability density evaluator (any dimension)."""
-    if not 0 < sigma < math.inf:
-        raise ValueError(f"sigma must be finite and strictly positive, got {sigma}")
+    check_number("sigma", sigma)
 
     def evaluator(*coords):
         r2 = sum(np.asarray(c) ** 2 for c in coords)
@@ -123,8 +119,7 @@ def reverse_example(spec: GridSpec, a: float, delta: float) -> GridFunction:
     """
     if spec.dim != 1:
         raise ValueError("reverse_example is one-dimensional")
-    if not 0 <= delta < math.inf:
-        raise ValueError(f"delta must be finite and nonnegative, got {delta}")
+    check_number("delta", delta, "nonnegative")
     g = sample(spec, gaussian_density())
     values = a * g.values
     if delta > 0:

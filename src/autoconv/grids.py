@@ -47,6 +47,24 @@ CSV_CHUNK_ROWS = 1 << 16
 _PACKAGE_DIR = os.path.dirname(__file__)
 
 
+def is_number(value) -> bool:
+    """Whether value is a Python or numpy int or float: bools and strings never are."""
+    return type(value) is not bool and isinstance(value, (float, int, np.floating, np.integer))
+
+
+def check_number(name: str, value, sign: str = "positive") -> None:
+    """Refuse (ValueError) all but a finite number > 0, or >= 0 if sign is "nonnegative"."""
+    if not (is_number(value) and (0 < value < math.inf or value == 0 and sign == "nonnegative")):
+        raise ValueError(f"{name} must be finite and {sign}, got {value!r}")
+
+
+def check_count(name: str, value, minimum=1, rule="a positive integer", maximum=math.inf) -> None:
+    """Refuse (ValueError) all but an int or numpy integer in [minimum, maximum], never a bool."""
+    count = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (count and minimum <= value <= maximum):
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Geometry of a centered uniform grid on [-extent, extent)^dim."""
@@ -56,16 +74,11 @@ class GridSpec:
     points_per_axis: int
 
     def __post_init__(self):
-        for name in ("dim", "points_per_axis"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.dim not in (1, 2, 3):
-            raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
-        if isinstance(self.extent, bool) or not 0 < self.extent < math.inf:
-            raise ValueError(f"extent must be finite and positive, got {self.extent}")
+        check_count("dim", self.dim, 1, "1, 2 or 3", 3)
+        check_number("extent", self.extent)
         n = self.points_per_axis
-        if n < 8 or (n & (n - 1)) != 0:
+        check_count("points_per_axis", n, 8, "a power of two >= 8")
+        if n & (n - 1):
             raise ValueError(f"points_per_axis must be a power of two >= 8, got {n}")
 
     @property
@@ -166,8 +179,7 @@ def sample_with_mass(spec: GridSpec, evaluator: Callable, mass: float) -> GridFu
     mass must be finite and nonnegative, and the samples must carry
     positive mass on the grid.
     """
-    if not 0 <= mass < math.inf:
-        raise ValueError(f"mass must be finite and nonnegative, got {mass}")
+    check_number("mass", mass, "nonnegative")
     raw = sample(spec, evaluator)
     total = integrate(raw)
     if total <= 0:
@@ -185,8 +197,7 @@ def moment(g: GridFunction, order: float) -> float:
 
     order = 0 reproduces integrate (0^0 evaluates to 1).
     """
-    if not 0 <= order < math.inf:
-        raise ValueError(f"order must be finite and nonnegative, got {order}")
+    check_number("order", order, "nonnegative")
     return float(np.sum(g.spec.radii() ** order * g.values) * g.spec.cell_volume)
 
 
@@ -490,8 +501,9 @@ def from_json(path) -> GridFunction:
     """Rebuild a GridFunction from to_json output.
 
     A document that is not an object or lacks a key raises ValueError
-    naming the problem; so does a value count that does not match the
-    header's grid, naming both counts.
+    naming the problem, as do values other than a flat list of numbers
+    (naming the first bad index) and a value count that does not match the
+    header's grid (naming both counts).
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -502,10 +514,15 @@ def from_json(path) -> GridFunction:
     if missing:
         raise ValueError(f"{path}: the grid object lacks {', '.join(missing)}")
     spec = GridSpec(**{key: doc[key] for key in header})
-    values = np.array(doc["values"])
+    values = doc["values"]
+    if not isinstance(values, list):
+        raise ValueError(f"{path}: values must be a list of numbers, got {values!r:.40}")
+    if not all(map(is_number, values)):
+        bad = next(i for i, value in enumerate(values) if not is_number(value))
+        raise ValueError(f"{path}: values[{bad}] must be a number, got {values[bad]!r:.40}")
     expected = spec.points_per_axis**spec.dim
-    if values.size != expected:
+    if len(values) != expected:
         raise ValueError(
-            f"{path}: header {spec.shape} needs {expected} values, the file holds {values.size}"
+            f"{path}: header {spec.shape} needs {expected} values, the file holds {len(values)}"
         )
-    return GridFunction(spec=spec, values=values.reshape(spec.shape))
+    return GridFunction(spec=spec, values=np.reshape(values, spec.shape))

@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import autoconv
-from autoconv import analyze, cli, clt, construct, families, grids
+from autoconv import analyze, cli, clt, coeffs, construct, families, grids
 from autoconv.cli import main
 from oracles import write_rows_per_cell
 
@@ -766,6 +767,11 @@ def _grid_header_file(tmp_path, **header):
         (["family", "--family", "bogus"], "unknown family 'bogus'"),
         (["verify"], "provide either --input or --family"),
         (["construct"], "provide either --input or --residual {gaussian,bump,poisson_margin}"),
+        (["family", "--input", {"values": [0.1] * 7 + [True]}], "values[7] must be a number"),
+        (["family", "--input", {"values": ["0.1"] * 8}], "values[0] must be a number"),
+        (["family", "--input", {"values": [[0.1] * 4] * 2}], "values[0] must be a number"),
+        (["family", "--input", {"values": "0.1"}], "values must be a list of numbers"),
+        (["family", "--input", {"extent": "4.0"}], "extent must be finite"),
     ],
 )
 def test_non_finite_or_mistyped_parameter_rejected(tmp_path, capsys, argv, name):
@@ -793,6 +799,65 @@ def test_non_finite_or_mistyped_parameter_rejected(tmp_path, capsys, argv, name)
 def test_non_finite_parameter_rejected_by_library(call, name):
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         call()
+
+
+_NOT_NUMBERS = (True, "1.0", math.nan, math.inf)
+_NOT_COUNTS = (True, "4", 2.5)
+_COEFFS = coeffs.build_coeffs(20)
+# (entry point, parameter name, call with the parameter set to a value, bad values)
+_CHECKED_PARAMETERS = [
+    ("GridSpec", "dim", lambda v: grids.GridSpec(v, 1.0, 8), _NOT_COUNTS),
+    ("GridSpec", "extent", lambda v: grids.GridSpec(1, v, 8), _NOT_NUMBERS),
+    ("GridSpec", "points_per_axis", lambda v: grids.GridSpec(1, 1.0, v), _NOT_COUNTS),
+    (
+        "sample_with_mass",
+        "mass",
+        lambda v: grids.sample_with_mass(_SPEC, families.gaussian_density(), v),
+        _NOT_NUMBERS,
+    ),
+    ("moment", "order", lambda v: grids.moment(_residual(0.1), v), _NOT_NUMBERS),
+    ("PoissonParams", "a", lambda v: families.PoissonParams(a=v, t=1.0), _NOT_NUMBERS),
+    ("PoissonParams", "t", lambda v: families.PoissonParams(a=0.5, t=v), _NOT_NUMBERS),
+    ("SincParams", "a", lambda v: families.SincParams(a=v), _NOT_NUMBERS),
+    ("gaussian_density", "sigma", families.gaussian_density, _NOT_NUMBERS),
+    ("reverse_example", "delta", lambda v: families.reverse_example(_SPEC, 2.0, v), _NOT_NUMBERS),
+    ("build_coeffs", "n_max", coeffs.build_coeffs, _NOT_COUNTS),
+    ("remainder", "n", coeffs.remainder, _NOT_COUNTS),
+    ("tail_bound", "n_terms", lambda v: coeffs.tail_bound(_COEFFS, v, 0.5), _NOT_COUNTS),
+    ("build_series", "epsilon", lambda v: construct.build_series(_residual(0.1), v), _NOT_NUMBERS),
+    ("scan_residual", "tolerance", lambda v: analyze.verify(_residual(0.1), v), _NOT_NUMBERS),
+    ("moment_scan", "order", lambda v: analyze.moment_scan(_residual(0.1), v), _NOT_NUMBERS),
+    ("moment_scan", "levels", lambda v: analyze.moment_scan(_residual(0.1), 1.0, v), _NOT_COUNTS),
+    ("exp_tail_fit", "inner", lambda v: analyze.exp_tail_fit(_residual(0.1), v), _NOT_NUMBERS),
+    ("rescaled_density", "n", lambda v: clt.rescaled_density(_residual(1.0), v), _NOT_COUNTS),
+    (
+        "run_experiments",
+        "ball radii",
+        lambda v: clt.run_experiments("finite_variance", (v,), n_list=(4,), mc_samples=0),
+        _NOT_NUMBERS,
+    ),
+    (
+        "run_experiments",
+        "n_list entries",
+        lambda v: clt.run_experiments("finite_variance", (1.0,), n_list=(v,), mc_samples=0),
+        _NOT_COUNTS,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "name,call,value",
+    [
+        pytest.param(name, call, value, id=f"{site}-{name}={value!r}")
+        for site, name, call, values in _CHECKED_PARAMETERS
+        for value in values
+    ],
+)
+def test_mistyped_parameter_rejected_by_library(name, call, value):
+    """Every checked parameter refuses bools and strings, a number NaN and inf, a count 2.5."""
+    message = f"^{re.escape(name)} must be .*, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        call(value)
 
 
 @pytest.mark.parametrize(

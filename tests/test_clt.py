@@ -395,11 +395,6 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=f"positive integers, got {n!r}"):
             run_experiment("finite_variance", n_list=(n, 16), mc_samples=0)
 
-    def test_integral_floats_in_n_list_count_as_integers(self):
-        result = run_experiment("infinite_variance", n_list=(4.0,), mc_samples=500, seed=2)
-        assert result.n_list == (4,) and type(result.n_list[0]) is int
-        assert result == run_experiment("infinite_variance", n_list=(4,), mc_samples=500, seed=2)
-
 
 class TestRunExperiments:
     @pytest.mark.parametrize("kind", ["finite_variance", "infinite_variance"])
@@ -432,6 +427,14 @@ class TestRunExperiments:
     def test_radii_must_be_finite_and_positive(self, radii):
         with pytest.raises(ValueError, match="radii"):
             run_experiments("finite_variance", radii, n_list=(4,), mc_samples=0)
+
+    def test_n_list_must_not_be_empty(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("an empty n_list must be refused before any work")
+
+        monkeypatch.setattr(clt, "sample_with_mass", never)
+        with pytest.raises(ValueError, match="n_list must be non-empty and strictly increasing"):
+            run_experiments("finite_variance", (1.0,), n_list=(), mc_samples=0)
 
 
 def set_cores(monkeypatch, count):
