@@ -712,6 +712,26 @@ def test_config_value_and_flag_give_the_same_report(tmp_path):
     assert json.loads(outputs[0][0])["config"]["L"] == 24.0
 
 
+def test_integral_config_number_runs_as_an_integer_flag(tmp_path, capsys):
+    """A config "N": 64.0 runs as --N 64; an integer too big for a float reaches the library."""
+    config = tmp_path / "cfg.json"
+    argv = ["verify", "--family", "poisson", "--a", "0.5", "--L", "20"]
+    runs = []
+    for extra in (["--config", str(config)], ["--N", "64"]):
+        config.write_text(json.dumps({"N": 64.0}))
+        code = main([*argv, *extra, "--out-dir", str(tmp_path)])
+        report = read_report(tmp_path, "verify")["report"]
+        del report["config"]["out_dir"]
+        runs.append((code, json.dumps(report)))
+    assert runs[0] == runs[1]
+    capsys.readouterr()
+    config.write_text(json.dumps({"N": 10**400}))
+    assert main([*argv, "--config", str(config), "--out-dir", str(tmp_path / "big")]) == 1
+    out = capsys.readouterr().out.strip()
+    assert len(out.splitlines()) == 1
+    assert "points_per_axis" in strict_loads(out)["error"]
+
+
 def test_unknown_construct_method_rejected(tmp_path, capsys):
     code = main(
         [
