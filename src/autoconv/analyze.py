@@ -119,7 +119,7 @@ def scan_residual(
     flat = int(np.argmin(inner))
     min_inner = float(inner.ravel()[flat])
     boundary_vals = residual.values[~mask]
-    min_boundary = float(boundary_vals.min()) if boundary_vals.size else math.inf
+    min_boundary = float(boundary_vals.min())
 
     gap = abs((a - 0.5) ** 2 - (0.25 - b))
     verdict = "solution" if min_inner >= -tolerance else "violation"

@@ -273,41 +273,30 @@ def _build_parser() -> _Parser:
     return parser
 
 
-_TYPE_NAMES = {
-    int: ("an integer", "integers"),
-    float: ("a number", "numbers"),
-    str: ("a string", "strings"),
+# flag type -> (name, plural, whether a config value has that type): an
+# int is taken for a number and an integral number for an integer, an int
+# without float(), so a huge one reaches the library's own check.
+_CONFIG_TYPES = {
+    float: ("a number", "numbers", grids.is_number),
+    int: (
+        "an integer",
+        "integers",
+        lambda v: grids.is_number(v) and (type(v) is int or v.is_integer()),
+    ),
+    str: ("a string", "strings", lambda v: isinstance(v, str)),
 }
-
-
-def _typed(kind, value):
-    """value as a flag of type kind would give it; ValueError if it would not.
-
-    An int is taken for a float and an integral number for an int; bools
-    are never numbers.
-    """
-    if kind is str and isinstance(value, str):
-        return value
-    if kind in (int, float) and isinstance(value, (int, float)) and not isinstance(value, bool):
-        if kind is float or isinstance(value, int) or value.is_integer():
-            return kind(value)
-    raise ValueError
 
 
 def _config_value(key, kind, meaning, value):
     """A config file's value for key, with the type its flag would give it."""
-    try:
-        if not isinstance(kind, list):
-            return _typed(kind, value)
-        if isinstance(value, list) and value:
-            return [_typed(kind[0], v) for v in value]
-    except ValueError:
-        pass
-    want = (
-        f"a non-empty list of {_TYPE_NAMES[kind[0]][1]}"
-        if isinstance(kind, list)
-        else _TYPE_NAMES[kind][0]
-    )
+    repeat = isinstance(kind, list)
+    each = kind[0] if repeat else kind
+    name, plural, typed = _CONFIG_TYPES[each]
+    if not repeat and typed(value):
+        return each(value)
+    if repeat and isinstance(value, list) and value and all(map(typed, value)):
+        return [each(v) for v in value]
+    want = f"a non-empty list of {plural}" if repeat else name
     raise CliError(f"config key {key!r} ({meaning}) must be {want}, got {json.dumps(value)}")
 
 

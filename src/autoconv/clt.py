@@ -160,6 +160,7 @@ def ball_mass(density: GridFunction, radius: float) -> float:
     Radii at or beyond the window extent just return the total mass; the
     quantity is only informative for radius < extent.
     """
+    check_number("radius", radius, "nonnegative")
     sel = density.spec.radii() <= radius
     return float(density.values[sel].sum() * density.spec.cell_volume)
 

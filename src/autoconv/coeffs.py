@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import check_count, write_csv
+from .grids import check_count, check_number, write_csv
 
 # The recurrence step c*(2n-1)/(2n+2) is exact in float64 while the odd
 # numerator (a Catalan number) fits in 53 bits, which holds up to n ~ 30.
@@ -89,7 +89,8 @@ def tail_bound(table: CoeffTable, n_terms: int, ratio: float) -> float:
     ratio > 0 the result is at least the smallest positive float, since the
     exact tail is positive even where the geometric bound underflows.
     """
-    if not 0.0 <= ratio <= 1.0:
+    check_number("ratio", ratio, "nonnegative")
+    if ratio > 1.0:
         raise ValueError(f"ratio must lie in [0, 1], got {ratio}")
     check_count("n_terms", n_terms, 1, f"an integer in [1, n_max = {table.n_max})", table.n_max - 1)
     if ratio == 0.0:

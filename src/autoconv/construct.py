@@ -288,7 +288,8 @@ def build_exponential_example(
     quantify the empirical decay rate.  Masses >= 1/4 are refused because
     the argument needs strict subcriticality.
     """
-    if not 0.0 < mass < 0.25:
+    check_number("mass", mass)
+    if mass >= 0.25:
         raise ValueError(
             f"mass must lie strictly between 0 and 1/4, got {mass} "
             f"(the exponential-moment construction needs strict subcriticality)"

@@ -119,6 +119,7 @@ def reverse_example(spec: GridSpec, a: float, delta: float) -> GridFunction:
     """
     if spec.dim != 1:
         raise ValueError("reverse_example is one-dimensional")
+    check_number("a", a)
     check_number("delta", delta, "nonnegative")
     g = sample(spec, gaussian_density())
     values = a * g.values

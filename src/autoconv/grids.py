@@ -60,7 +60,7 @@ def check_number(name: str, value, sign: str = "positive") -> None:
 
 def check_count(name: str, value, minimum=1, rule="a positive integer", maximum=math.inf) -> None:
     """Refuse (ValueError) all but an int or numpy integer in [minimum, maximum], never a bool."""
-    count = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    count = is_number(value) and isinstance(value, (int, np.integer))
     if not (count and minimum <= value <= maximum):
         raise ValueError(f"{name} must be {rule}, got {value!r}")
 
@@ -321,6 +321,7 @@ def restrict(g: GridFunction, extent: float) -> GridFunction:
     number of nodes per axis, a count GridSpec accepts (a power of two, at
     least 8).
     """
+    check_number("extent", extent)
     old = g.spec
     if extent > old.extent:
         raise ValueError(

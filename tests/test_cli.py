@@ -814,6 +814,7 @@ def test_non_finite_or_mistyped_parameter_rejected(tmp_path, capsys, argv, name)
         (lambda: families.PoissonParams(a=0.5, t=math.nan), "t"),
         (lambda: families.SincParams(a=math.inf), "a"),
         (lambda: families.SincParams(a=math.nan), "a"),
+        (lambda: clt.ball_mass(_residual(1.0), -1.0), "radius"),
     ],
 )
 def test_non_finite_parameter_rejected_by_library(call, name):
@@ -829,6 +830,7 @@ _CHECKED_PARAMETERS = [
     ("GridSpec", "dim", lambda v: grids.GridSpec(v, 1.0, 8), _NOT_COUNTS),
     ("GridSpec", "extent", lambda v: grids.GridSpec(1, v, 8), _NOT_NUMBERS),
     ("GridSpec", "points_per_axis", lambda v: grids.GridSpec(1, 1.0, v), _NOT_COUNTS),
+    ("restrict", "extent", lambda v: grids.restrict(_residual(0.1), v), _NOT_NUMBERS),
     (
         "sample_with_mass",
         "mass",
@@ -840,16 +842,25 @@ _CHECKED_PARAMETERS = [
     ("PoissonParams", "t", lambda v: families.PoissonParams(a=0.5, t=v), _NOT_NUMBERS),
     ("SincParams", "a", lambda v: families.SincParams(a=v), _NOT_NUMBERS),
     ("gaussian_density", "sigma", families.gaussian_density, _NOT_NUMBERS),
+    ("reverse_example", "a", lambda v: families.reverse_example(_SPEC, v, 0.0), _NOT_NUMBERS),
     ("reverse_example", "delta", lambda v: families.reverse_example(_SPEC, 2.0, v), _NOT_NUMBERS),
     ("build_coeffs", "n_max", coeffs.build_coeffs, _NOT_COUNTS),
     ("remainder", "n", coeffs.remainder, _NOT_COUNTS),
     ("tail_bound", "n_terms", lambda v: coeffs.tail_bound(_COEFFS, v, 0.5), _NOT_COUNTS),
+    ("tail_bound", "ratio", lambda v: coeffs.tail_bound(_COEFFS, 10, v), _NOT_NUMBERS),
     ("build_series", "epsilon", lambda v: construct.build_series(_residual(0.1), v), _NOT_NUMBERS),
+    (
+        "build_exponential_example",
+        "mass",
+        lambda v: construct.build_exponential_example(_SPEC, v),
+        _NOT_NUMBERS,
+    ),
     ("scan_residual", "tolerance", lambda v: analyze.verify(_residual(0.1), v), _NOT_NUMBERS),
     ("moment_scan", "order", lambda v: analyze.moment_scan(_residual(0.1), v), _NOT_NUMBERS),
     ("moment_scan", "levels", lambda v: analyze.moment_scan(_residual(0.1), 1.0, v), _NOT_COUNTS),
     ("exp_tail_fit", "inner", lambda v: analyze.exp_tail_fit(_residual(0.1), v), _NOT_NUMBERS),
     ("rescaled_density", "n", lambda v: clt.rescaled_density(_residual(1.0), v), _NOT_COUNTS),
+    ("ball_mass", "radius", lambda v: clt.ball_mass(_residual(1.0), v), _NOT_NUMBERS),
     (
         "run_experiments",
         "ball radii",
