@@ -292,11 +292,14 @@ def _config_value(key, kind, meaning, value):
     repeat = isinstance(kind, list)
     each = kind[0] if repeat else kind
     name, plural, typed = _CONFIG_TYPES[each]
-    if not repeat and typed(value):
-        return each(value)
-    if repeat and isinstance(value, list) and value and all(map(typed, value)):
-        return [each(v) for v in value]
     want = f"a non-empty list of {plural}" if repeat else name
+    try:
+        if not repeat and typed(value):
+            return each(value)
+        if repeat and isinstance(value, list) and value and all(map(typed, value)):
+            return [each(v) for v in value]
+    except OverflowError:  # a JSON integer beyond the float range
+        want += " within the float range"
     raise CliError(f"config key {key!r} ({meaning}) must be {want}, got {json.dumps(value)}")
 
 

@@ -60,7 +60,8 @@ def _coeff_table() -> CoeffTable:
     Kept whole though a critical build reads ~800 entries: freeing its build
     temporaries raises glibc's mmap threshold, so the series loop's FFT
     buffers come from the heap.  Each critical d=1 build after the first
-    (N=16384) took 0-49 minor faults; with build_coeffs(1000), ~51,200.
+    (N=16384, four-step transforms) took 0-48 minor faults; with
+    build_coeffs(1000), 25,963-50,894.
     """
     return build_coeffs(TERM_CAP + 1)
 

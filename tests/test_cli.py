@@ -663,6 +663,8 @@ def test_clt_csv_without_samples_matches_per_cell_writer(tmp_path, monkeypatch):
         ("construct", {"residual": "gaussian", "L": "40", "N": 512}, "L"),
         ("clt", {"kind": "finite_variance", "n": [4], "samples": 0, "seed": 1.5}, "seed"),
         ("clt", {"kind": "finite_variance", "n": [4], "samples": True}, "samples"),
+        ("verify", {"family": "poisson", "L": 10**400}, "L"),
+        ("clt", {"kind": "finite_variance", "R": [10**400], "samples": 0}, "R"),
     ],
 )
 def test_list_keys_in_config_must_be_non_empty_number_lists(

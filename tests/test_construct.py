@@ -15,7 +15,14 @@ from autoconv.construct import (
     default_epsilon,
 )
 from autoconv.families import PoissonParams, gaussian_density, poisson
-from autoconv.grids import GridFunction, GridSpec, integrate, sample, sample_with_mass
+from autoconv.grids import (
+    ConvolutionPlan,
+    GridFunction,
+    GridSpec,
+    integrate,
+    sample,
+    sample_with_mass,
+)
 
 
 def gaussian_residual(mass, L=40.0, N=2**12):
@@ -54,7 +61,7 @@ def reference_series(u):
 
 
 class TestBuildSeries:
-    @pytest.mark.parametrize("dim, n", [(1, 2**10), (2, 16)])
+    @pytest.mark.parametrize("dim, n", [(1, 2**10), (2, 16), (1, 2**14)])
     def test_critical_matches_complex_reference(self, dim, n):
         spec = GridSpec(dim=dim, extent=40.0, points_per_axis=n)
         u = sample_with_mass(spec, gaussian_density(sigma=2.0), 0.25)
@@ -160,44 +167,44 @@ class TestBuildSeries:
         # Move mass from the last window node to slot 0, below the window:
         # the sum over the full product, and so the mass guard, is
         # unchanged, but the window gains a negative value to clamp.
-        real_irfftn = np.fft.irfftn
+        real_inverse = ConvolutionPlan._inverse
 
-        def corrupt(*args, **kwargs):
-            full = real_irfftn(*args, **kwargs)
+        def corrupt(plan, spectrum):
+            full = real_inverse(plan, spectrum)
             shift = 1e-6 * float(np.abs(full).sum())
             full.flat[0] += shift
             full.flat[-1] -= shift
             return full
 
-        monkeypatch.setattr("autoconv.grids.np.fft.irfftn", corrupt)
+        monkeypatch.setattr(ConvolutionPlan, "_inverse", corrupt)
         with pytest.raises(RuntimeError, match="clamps"):
             build_series(gaussian_residual(0.1))
 
     def test_mass_guard_catches_nan_inverse(self, monkeypatch):
-        real_irfftn = np.fft.irfftn
+        real_inverse = ConvolutionPlan._inverse
 
-        def corrupt(*args, **kwargs):
-            full = real_irfftn(*args, **kwargs)
+        def corrupt(plan, spectrum):
+            full = real_inverse(plan, spectrum)
             full.flat[-1] = np.nan
             return full
 
-        monkeypatch.setattr("autoconv.grids.np.fft.irfftn", corrupt)
+        monkeypatch.setattr(ConvolutionPlan, "_inverse", corrupt)
         with pytest.raises(RuntimeError, match="FFT defect"):
             build_series(gaussian_residual(0.1))
 
-    @pytest.mark.parametrize("dim, n", [(1, 256), (2, 16), (3, 8)])
+    @pytest.mark.parametrize("dim, n", [(1, 256), (2, 16), (3, 8), (1, 2**13)])
     def test_every_inverse_transform_has_three_halves_n_per_axis(self, dim, n, monkeypatch):
         spec = GridSpec(dim=dim, extent=6.0, points_per_axis=n)
         u = sample_with_mass(spec, gaussian_density(), 0.1)
         shapes = []
-        real_irfftn = np.fft.irfftn
+        real_inverse = ConvolutionPlan._inverse
 
-        def recording(*args, **kwargs):
-            full = real_irfftn(*args, **kwargs)
+        def recording(plan, spectrum):
+            full = real_inverse(plan, spectrum)
             shapes.append(full.shape)
             return full
 
-        monkeypatch.setattr("autoconv.grids.np.fft.irfftn", recording)
+        monkeypatch.setattr(ConvolutionPlan, "_inverse", recording)
         build = build_series(u, epsilon=1e-4)
         assert build.n_terms > 2
         assert shapes == [(3 * n // 2,) * dim] * (build.n_terms - 1)

@@ -167,7 +167,12 @@ def direct_convolution(g1, g2):
 
 
 class TestConvolve:
-    @pytest.mark.parametrize("dim, n", [(1, 64), (2, 16), (3, 8), (1, 8), (2, 8)])
+    # d = 1 runs one rfft/irfft pair up to N = 2**12 and the four-step transform
+    # from N = 2**13 up, whose rows / cols is 4/3 at odd and 8/3 at even powers
+    # of two: (128, 96) at N = 2**13 and (256, 96) at N = 2**14.
+    @pytest.mark.parametrize(
+        "dim, n", [(1, 64), (2, 16), (3, 8), (1, 8), (2, 8), (1, 2**12), (1, 2**13), (1, 2**14)]
+    )
     @pytest.mark.parametrize("signed", [False, True])
     def test_matches_direct_sum(self, dim, n, signed):
         spec = GridSpec(dim=dim, extent=3.0, points_per_axis=n)
@@ -195,24 +200,24 @@ class TestConvolve:
             np.testing.assert_array_equal(plan(g).values, convolve(gauss, g).values)
 
     def test_mass_guard_catches_corrupt_inverse(self, gauss, monkeypatch):
-        real_irfftn = np.fft.irfftn
+        real_inverse = ConvolutionPlan._inverse
 
-        def corrupt(*args, **kwargs):
-            return real_irfftn(*args, **kwargs) * (1.0 + 1e-6)
+        def corrupt(plan, spectrum):
+            return real_inverse(plan, spectrum) * (1.0 + 1e-6)
 
-        monkeypatch.setattr("autoconv.grids.np.fft.irfftn", corrupt)
+        monkeypatch.setattr(ConvolutionPlan, "_inverse", corrupt)
         with pytest.raises(RuntimeError, match="FFT defect"):
             convolve(gauss, gauss)
 
     def test_mass_guard_catches_nan_inverse(self, gauss, monkeypatch):
-        real_irfftn = np.fft.irfftn
+        real_inverse = ConvolutionPlan._inverse
 
-        def corrupt(*args, **kwargs):
-            full = real_irfftn(*args, **kwargs)
+        def corrupt(plan, spectrum):
+            full = real_inverse(plan, spectrum)
             full.flat[0] = np.nan
             return full
 
-        monkeypatch.setattr("autoconv.grids.np.fft.irfftn", corrupt)
+        monkeypatch.setattr(ConvolutionPlan, "_inverse", corrupt)
         with pytest.raises(RuntimeError, match="FFT defect"):
             convolve(gauss, gauss)
 
