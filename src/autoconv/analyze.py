@@ -157,10 +157,13 @@ def moment_scan(f: GridFunction, order: float, levels: int = 4) -> MomentReport:
     half the first one: a log-divergent moment keeps near-constant
     increments per doubling, while a convergent one collapses them
     geometrically.  A diverging-moment verdict on a finite grid is a
-    growth signature, never a proof.
+    growth signature, never a proof.  levels is at most log2(N) + 1: any
+    deeper, the two smallest balls lie within one spacing of the origin,
+    hold it alone, and every function would read "saturating".
     """
     check_number("order", order, "nonnegative")
-    check_count("levels", levels, 3, "an integer >= 3")
+    top = f.spec.points_per_axis.bit_length()
+    check_count("levels", levels, 3, f"an integer in [3, {top}]", top)
     if not positivity_check(f).nonnegative:
         raise ValueError("moment_scan requires a nonnegative function")
 

@@ -2,7 +2,8 @@
 
 Every subcommand writes <out-dir>/<command>_report.json holding a
 deterministic "report" object (command, version, resolved config,
-results) next to a "timestamp" field that is kept outside the report so
+results), "diagnostics" (its "warnings" list the run's warnings as its
+filters show them; none goes to stderr) and "timestamp", outside it so
 identical configs reproduce it byte for byte; its config holds only
 the keys the run read.  CSV artifacts carry the plot-ready series.  A
 --config file holds a JSON object that may supply any flag; each value
@@ -24,6 +25,7 @@ import itertools
 import json
 import sys
 import time
+import warnings
 from pathlib import Path
 
 from . import __version__
@@ -337,14 +339,19 @@ def main(argv=None) -> int:
         out_dir = Path(cfg["out_dir"])
         out_dir.mkdir(parents=True, exist_ok=True)
         run, _ = _COMMANDS[args.command]
-        results, code, writers = run(cfg)
+        # The run's filters decide, so "error" still raises.  The context is process-wide
+        # before Python 3.14; the one other thread, clt's Monte Carlo worker, warns of nothing.
+        with warnings.catch_warnings(record=True) as caught:
+            results, code, writers = run(cfg)
         report = {
             "command": args.command,
             "version": __version__,
             "config": cfg,
             "results": results,
         }
-        doc = {"report": report, "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z")}
+        warned = [str(w.message) for w in caught]
+        stamp = time.strftime("%Y-%m-%dT%H:%M:%S%z")
+        doc = {"report": report, "diagnostics": {"warnings": warned}, "timestamp": stamp}
         text = json.dumps(doc, indent=2, allow_nan=False)
         for name, write in writers.items():
             write(out_dir / name)

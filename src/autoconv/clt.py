@@ -18,15 +18,14 @@ run_experiments draws the Monte Carlo sums as one future on a worker
 thread, beside the grid densities that the calling thread builds when more
 than one core is usable (both halves run numpy code that releases the GIL)
 and after them on one core, _MC_CHUNK // n rows of n draws at a time, or
-one row when n > _MC_CHUNK.  The draws come from per-n streams of the
-recorded seed, so results depend neither on which nor on the batch size.
+one row in blocks of _MC_CHUNK beyond.  The draws come from per-n streams
+of the recorded seed, so results depend neither on which nor on batch size.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +37,8 @@ from .grids import sample_with_mass, usable_cores, warn
 DENSITY_CLAMP = 1e-8
 MASS_WARN = 0.02
 
-# Scalar draws per Monte Carlo batch (a batch is one row of n draws when n
-# exceeds it): 2 MB of float64, one core's L2 cache on the 2-core host where
+# Scalar draws per Monte Carlo batch, and per block of a longer row of n
+# draws: 2 MB of float64, one core's L2 cache on the 2-core host where
 # it was chosen.  Alone, the infinite-variance Monte Carlo of the clt command
 # took 0.35-0.47 s in such batches and 0.48-0.68 s in 8 MB ones (two of three
 # interleaved sets; the third showed no difference).  Beside the grid half the
@@ -64,7 +63,6 @@ class CltResult:
     variance_class: str
     seed: int | None
     gaussian_target: float | None
-    notes: tuple[str, ...]
 
 
 def _fft_length(target: int) -> int:
@@ -175,9 +173,9 @@ def _monte_carlo(sampler, radii, n_list, mc_samples, seed, stop: threading.Event
     """Monte Carlo ball masses and standard errors, one list per radius.
 
     Each n draws from its own stream spawned from seed, in chunks of
-    max(1, _MC_CHUNK // n) rows of n scalars: at most _MC_CHUNK scalars
-    while n <= _MC_CHUNK, one row of n beyond.  A set stop event ends the
-    run between chunks and returns None.
+    max(1, _MC_CHUNK // n) rows of n scalars, a longer row in blocks of
+    _MC_CHUNK: at most _MC_CHUNK scalars for any n.  A set stop event ends
+    the run between chunks and returns None.
     """
     mc_values: list[list[float]] = [[] for _ in radii]
     mc_stderr: list[list[float]] = [[] for _ in radii]
@@ -185,11 +183,13 @@ def _monte_carlo(sampler, radii, n_list, mc_samples, seed, stop: threading.Event
     for n, stream in zip(n_list, streams):
         rng = np.random.default_rng(stream)
         chunk = max(1, _MC_CHUNK // n)
+        blocks = range(0, n, _MC_CHUNK)  # more than one only when chunk == 1
         scale = 1.0 / math.sqrt(n)
         hits = [0] * len(radii)
         for done in range(0, mc_samples, chunk):
             rows = min(chunk, mc_samples - done)
-            sums = np.abs(sampler(rng, (rows, n)).sum(axis=1)) * scale
+            sums = sum(sampler(rng, (rows, min(_MC_CHUNK, n - b))).sum(axis=1) for b in blocks)
+            sums = np.abs(sums) * scale
             hits = [h + int(np.count_nonzero(sums <= r)) for h, r in zip(hits, radii)]
             if stop.is_set():
                 return None
@@ -269,21 +269,16 @@ def run_experiments(
         # a 2-core host, that ran 5 to 8 percent slower than one after the other.
         overlapped = draw() if mc_samples > 0 and usable_cores() > 1 else None
         try:
-            # The worker emits no warnings, so this context, process-wide
-            # before Python 3.14, records the grid half's alone.
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                for n in n_list:
-                    dens = rescaled_density(density, n)
-                    for values, radius in zip(p_values, radii):
-                        values.append(ball_mass(dens, radius))
-                    phi_values.append(phi_functional(dens))
+            for n in n_list:
+                dens = rescaled_density(density, n)
+                for values, radius in zip(p_values, radii):
+                    values.append(ball_mass(dens, radius))
+                phi_values.append(phi_functional(dens))
         except BaseException:
             stop.set()  # the worker ends after its current chunk; leaving the pool joins it
             raise
         if mc_samples > 0:
             mc_values, mc_stderr = (overlapped or draw()).result()
-    notes = tuple(str(w.message) for w in caught)
 
     return tuple(
         CltResult(
@@ -296,7 +291,6 @@ def run_experiments(
             variance_class="finite" if w_kind == "finite_variance" else "infinite",
             seed=seed,
             gaussian_target=limit(radius),
-            notes=notes,
         )
         for radius, p, mc, se in zip(radii, p_values, mc_values, mc_stderr)
     )

@@ -143,6 +143,10 @@ class TestMomentScan:
                 moment_scan(f, order)
         with pytest.raises(ValueError):
             moment_scan(f, 1.0, levels=2)
+        # below one spacing the two smallest balls hold the origin alone
+        with pytest.raises(ValueError, match=r"levels must be an integer in \[3, 11\], got 12"):
+            moment_scan(f, 1.0, levels=12)
+        assert moment_scan(f, 1.0, levels=11).growth_increments[0] > 0.0
         spec = GridSpec(dim=1, extent=16.0, points_per_axis=2**10)
         signed = GridFunction(spec=spec, values=np.full(spec.shape, -1.0))
         with pytest.raises(ValueError, match="nonnegative"):

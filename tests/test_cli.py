@@ -483,6 +483,45 @@ def test_numeric_error_is_single_line_json(tmp_path, capsys):
     assert "1/4" in strict_loads(out)["error"]
 
 
+# a critical-mass series whose window drops more than epsilon of its L1 mass
+_WINDOW_WARNING = [
+    "construct", "--residual", "gaussian", "--mass", "0.25", "--sigma", "1.5",
+    "--L", "20", "--N", "1024", "--method", "series", "--epsilon", "1e-3",
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["clt", "--kind", "finite_variance", "--n", "1", "--n", "2", "--n", "3",
+             "--samples", "0"],
+            "negative values down to",
+        ),
+        (_WINDOW_WARNING, "widen the window"),
+        (["coeffs", "--n", "10"], None),
+    ],
+)
+def test_run_warnings_are_recorded_outside_the_report(tmp_path, recwarn, argv, message):
+    assert main([*argv, "--out-dir", str(tmp_path)]) == 0
+    doc = read_report(tmp_path, argv[0])
+    assert list(doc) == ["report", "diagnostics", "timestamp"]
+    caught = doc["diagnostics"]["warnings"]
+    assert [message in w for w in caught] == ([] if message is None else [True])
+    assert not recwarn.list  # none escapes main, so none reaches stderr
+    for experiment in doc["report"]["results"].get("experiments", []):
+        assert "notes" not in experiment
+
+
+@pytest.mark.filterwarnings("error")
+def test_warning_filters_of_the_run_still_apply(tmp_path, capsys):
+    assert main([*_WINDOW_WARNING, "--out-dir", str(tmp_path)]) == 1
+    out = capsys.readouterr().out.strip()
+    assert len(out.splitlines()) == 1
+    assert "widen the window" in strict_loads(out)["error"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_non_finite_result_is_an_error_not_infinity(tmp_path, capsys):
     # the Riemann sum of a 1e308-scaled kernel overflows to inf
     argv = ["family", "--family", "poisson", "--a", "1e308", "--N", "1024"]

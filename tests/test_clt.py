@@ -412,6 +412,10 @@ class TestRunExperiments:
         chunked = run_experiments("infinite_variance", (0.5, 2.0), **args)
         assert [r.mc_values for r in chunked] == [r.mc_values for r in whole]
         assert [r.mc_stderr for r in chunked] == [r.mc_stderr for r in whole]
+        # one row per chunk, a row of n = 16 drawn in blocks of 5, 5, 5 and 1
+        monkeypatch.setattr(clt, "_MC_CHUNK", 5)
+        blocked = run_experiments("infinite_variance", (0.5, 2.0), **args)
+        assert [r.mc_values for r in blocked] == [r.mc_values for r in whole]
         # 70,001 replicates of n = 4 take two default chunks, one of the
         # former 1,000,000 draws
         assert 4 * 70_001 > clt._MC_CHUNK
@@ -433,6 +437,11 @@ class TestRunExperiments:
         monkeypatch.setattr(clt, "sample_with_mass", never)
         with pytest.raises(ValueError, match="n_list must be non-empty and strictly increasing"):
             run_experiments("finite_variance", (1.0,), n_list=(), mc_samples=0)
+
+    def test_grid_half_warnings_reach_the_caller(self):
+        # the unit-variance box rings below the clamp threshold at n = 2
+        with pytest.warns(UserWarning, match="negative values down to"):
+            run_experiments("finite_variance", (1.0,), n_list=(1, 2, 3), mc_samples=0)
 
 
 def set_cores(monkeypatch, count):
@@ -529,8 +538,9 @@ class TestOverlap:
         run_experiments("infinite_variance", (1.0,), n_list, mc_samples, seed=3)
         assert max(rows * n for rows, n in sizes) <= clt._MC_CHUNK
         assert sum(rows * n for rows, n in sizes) == mc_samples * sum(n_list)
-        # past _MC_CHUNK, a chunk is one row of n draws
+        # past _MC_CHUNK, a chunk is one row of n draws, drawn in blocks of _MC_CHUNK
         sizes.clear()
         monkeypatch.setattr(clt, "_MC_CHUNK", 64)
         run_experiments("infinite_variance", (1.0,), (16, 100), 50, seed=3)
-        assert sizes == [(4, 16)] * 12 + [(2, 16)] + [(1, 100)] * 50
+        assert sizes == [(4, 16)] * 12 + [(2, 16)] + [(1, 64), (1, 36)] * 50
+        assert max(rows * n for rows, n in sizes) <= clt._MC_CHUNK
