@@ -148,11 +148,13 @@ def _run_construct(cfg):
     series_build = None
     if method in ("series", "both"):
         series_build = construct.build_series(u, epsilon=cfg["epsilon"])
+        cfg["epsilon"] = series_build.epsilon  # the target that ran, default or given
         writers["construct_series.csv"] = lambda path: grids.to_csv(series_build.solution, path)
         results.update(
             ratio=series_build.ratio,
             n_terms=series_build.n_terms,
             tail_l1=series_build.tail_l1,
+            clamped_l1=series_build.clamped_l1,
             escaped_l1=series_build.escaped_l1,
             tail_sup=series_build.tail_sup,
             series_mass=grids.integrate(series_build.solution),

@@ -175,7 +175,7 @@ def _monte_carlo(sampler, radii, n_list, mc_samples, seed, stop: threading.Event
     Each n draws from its own stream spawned from seed, in chunks of
     max(1, _MC_CHUNK // n) rows of n scalars, a longer row in blocks of
     _MC_CHUNK: at most _MC_CHUNK scalars for any n.  A set stop event ends
-    the run between chunks and returns None.
+    the run before the next block and returns None.
     """
     mc_values: list[list[float]] = [[] for _ in radii]
     mc_stderr: list[list[float]] = [[] for _ in radii]
@@ -188,11 +188,13 @@ def _monte_carlo(sampler, radii, n_list, mc_samples, seed, stop: threading.Event
         hits = [0] * len(radii)
         for done in range(0, mc_samples, chunk):
             rows = min(chunk, mc_samples - done)
-            sums = sum(sampler(rng, (rows, min(_MC_CHUNK, n - b))).sum(axis=1) for b in blocks)
+            sums = 0.0
+            for b in blocks:
+                if stop.is_set():
+                    return None
+                sums += sampler(rng, (rows, min(_MC_CHUNK, n - b))).sum(axis=1)
             sums = np.abs(sums) * scale
             hits = [h + int(np.count_nonzero(sums <= r)) for h, r in zip(hits, radii)]
-            if stop.is_set():
-                return None
         for values, errors, h in zip(mc_values, mc_stderr, hits):
             p = h / mc_samples
             values.append(p)
@@ -275,7 +277,7 @@ def run_experiments(
                     values.append(ball_mass(dens, radius))
                 phi_values.append(phi_functional(dens))
         except BaseException:
-            stop.set()  # the worker ends after its current chunk; leaving the pool joins it
+            stop.set()  # the worker ends before its next block; leaving the pool joins it
             raise
         if mc_samples > 0:
             mc_values, mc_stderr = (overlapped or draw()).result()

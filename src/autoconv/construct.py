@@ -80,6 +80,7 @@ class SeriesBuild:
     residual: GridFunction
     residual_mass: float
     ratio: float
+    epsilon: float  # the L^1 truncation target the build met
     n_terms: int
     tail_l1: float
     tail_sup: float
@@ -133,13 +134,14 @@ def build_series(u: GridFunction, epsilon: float | None = None) -> SeriesBuild:
     the scaled residual 4u so every intermediate has mass ratio^n <= 1 and
     nothing overflows.  One ConvolutionPlan caches the transform of 4u, so
     each term costs one forward and one inverse real transform; the loop
-    works on the plan's bare window arrays and scales, clamps and
-    accumulates them in place.  Truncation stops at the smallest N whose
-    certified tail is at most epsilon (default by regime, see
-    default_epsilon).  clamped_l1 records the mass the clamp of FFT dust
-    removed from the powers.  escaped_l1 = (1/2) sum_{n>=2} c_n (r^n - m_n),
-    floored at 0, with r the capped ratio and m_n the mass of the n-th
-    windowed power; a UserWarning says to widen the window when it exceeds
+    clamps and accumulates the plan's window arrays in place.  Truncation
+    stops at the smallest N whose certified tail is at most epsilon
+    (default by regime, see default_epsilon), which SeriesBuild.epsilon
+    records.  clamped_l1 records the mass the clamp of FFT dust removed
+    from the powers.  escaped_l1 = (1/2)(c_1 ratio + sum_{n=2..N} c_n r^n)
+    - integrate(solution), floored at 0, with r the capped ratio: the mass
+    the first N terms hold on the whole lattice hZ^d, less the mass the
+    window kept.  A UserWarning says to widen the window when it exceeds
     epsilon.
 
     Raises if the residual mass exceeds 1/4 beyond tolerance, if epsilon
@@ -166,14 +168,12 @@ def build_series(u: GridFunction, epsilon: float | None = None) -> SeriesBuild:
         )
 
     coeffs = table.values
-    h_d = u.spec.cell_volume
     scaled = GridFunction(spec=u.spec, values=4.0 * u.values)
     times_scaled = ConvolutionPlan(scaled)
     power = scaled.values
     power_sum = float(power.sum())
     acc = 0.5 * coeffs[0] * power
     clamped = 0.0
-    escaped, r_power = 0.0, capped_ratio  # sum_n c_n (r^n - m_n), and r^n
     for n in range(2, n_terms + 1):
         # Powers are nonnegative, so sum|power| is power_sum.
         raw = times_scaled.window(power, power_sum, power_sum)
@@ -189,15 +189,13 @@ def build_series(u: GridFunction, epsilon: float | None = None) -> SeriesBuild:
                 f"convolution's mass tolerance {bound:.3e}"
             )
         clamped += clamp
-        raw *= h_d
-        power, power_sum = raw, kept_sum * h_d
+        power, power_sum = raw, kept_sum
         acc += 0.5 * coeffs[n - 1] * power
-        r_power *= capped_ratio
-        escaped += coeffs[n - 1] * (r_power - power_sum * h_d)  # m_n = kept_sum h^{2d}
 
+    solution = GridFunction(spec=u.spec, values=acc)
     tl1 = 0.5 * tail_bound(table, n_terms, capped_ratio)
-    # Rounding can leave the sum a few ulps below zero (-6e-17 in 15 terms).
-    escaped_l1 = max(0.0, 0.5 * escaped)
+    lattice = coeffs[0] * ratio + coeffs[1:n_terms] @ capped_ratio ** np.arange(2.0, n_terms + 1)
+    escaped_l1 = max(0.0, float(0.5 * lattice) - integrate(solution))
     if escaped_l1 > epsilon:
         warn(
             f"the window dropped {escaped_l1:.3e} of the series' L1 mass, more than "
@@ -208,13 +206,13 @@ def build_series(u: GridFunction, epsilon: float | None = None) -> SeriesBuild:
         residual=u,
         residual_mass=b,
         ratio=ratio,
+        epsilon=epsilon,
         n_terms=n_terms,
         tail_l1=tl1,
         tail_sup=tls,
-        # Raw sums scale by h^d into power values and by h^d again into mass.
-        clamped_l1=clamped * h_d * h_d,
+        clamped_l1=clamped * u.spec.cell_volume,
         escaped_l1=escaped_l1,
-        solution=GridFunction(spec=u.spec, values=acc),
+        solution=solution,
     )
 
 

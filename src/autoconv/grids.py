@@ -228,9 +228,9 @@ class ConvolutionPlan:
     transform of M.  The spectrum comes out permuted, but only the
     pointwise product of two spectra in that same order is inverted.
 
-    Before windowing, the sum of the full circular product must equal
-    sum(kernel) sum(g) (raw values, no h^d) within tolerance(sum|g|); a
-    larger gap, or a non-finite one, raises RuntimeError.
+    Before windowing, h^d times the sum of the full circular product must
+    equal h^d sum(kernel) sum(g) within tolerance(sum|g|); a larger gap,
+    or a non-finite one, raises RuntimeError.
     """
 
     def __init__(self, kernel: GridFunction):
@@ -241,6 +241,7 @@ class ConvolutionPlan:
         self._padded = (m,) * spec.dim
         self._axes = tuple(range(spec.dim))
         self._keep = (slice(n // 2, None),) * spec.dim
+        self._cell = spec.cell_volume
         self._twiddles = None
         if spec.dim == 1 and m >= FOUR_STEP_MIN:
             rows = 1 << math.isqrt(m - 1).bit_length()
@@ -277,16 +278,16 @@ class ConvolutionPlan:
         return np.fft.irfft(columns, axis=0).reshape(self._padded)  # rows is even
 
     def tolerance(self, g_abs: float) -> float:
-        """The mass guard's ceiling for a factor with raw sum|g| = g_abs."""
-        return CONV_MASS_RTOL * self._kernel_abs * g_abs
+        """The mass guard's ceiling, in window's units (h^d included), for sum|g| = g_abs."""
+        return CONV_MASS_RTOL * self._kernel_abs * g_abs * self._cell
 
     def window(self, values: np.ndarray, g_sum: float, g_abs: float) -> np.ndarray:
-        """Raw window sums (no h^d) of the kernel convolved with values.
+        """The kernel convolved with values: convolve's values, h^d included.
 
         values holds one factor on the kernel's grid, with g_sum and g_abs
         its sum and absolute sum; the kernel's own values array reuses the
         cached transform.  The result is a writable view into a fresh
-        array, so callers may scale or clamp it in place.
+        array, scaled by h^d after the mass guard, so callers may clamp it.
         """
         if values.shape != self.kernel.spec.shape:
             raise ValueError("grid specs do not match")
@@ -297,26 +298,22 @@ class ConvolutionPlan:
             # Kernel first: swapped operands round the complex product differently.
             np.multiply(self._kernel_hat, product, out=product)
         full = self._inverse(product)
-        gap = abs(float(full.sum()) - self._kernel_sum * g_sum)
+        gap = abs(float(full.sum()) - self._kernel_sum * g_sum) * self._cell
         bound = self.tolerance(g_abs)
         if not gap <= bound:
             raise RuntimeError(
-                f"padded convolution sum misses sum(f) sum(g) by {gap:.3e}, more than "
-                f"{CONV_MASS_RTOL:.0e} of sum|f| sum|g| = {bound / CONV_MASS_RTOL:.3e}; "
+                f"padded convolution sum misses h^d sum(f) sum(g) by {gap:.3e}, more than "
+                f"{CONV_MASS_RTOL:.0e} of h^d sum|f| sum|g| = {bound / CONV_MASS_RTOL:.3e}; "
                 f"this signals an FFT defect"
             )
-        return full[self._keep]
+        kept = full[self._keep]
+        kept *= self._cell
+        return kept
 
     def __call__(self, g: GridFunction) -> GridFunction:
-        spec = self.kernel.spec
-        if g.spec != spec:
+        if g.spec != self.kernel.spec:
             raise ValueError("grid specs do not match")
-        if g is self.kernel:
-            g_sum, g_abs = self._kernel_sum, self._kernel_abs
-        else:
-            g_sum, g_abs = float(g.values.sum()), float(np.abs(g.values).sum())
-        raw = self.window(g.values, g_sum, g_abs)
-        return GridFunction(spec=spec, values=raw * spec.cell_volume)
+        return GridFunction(g.spec, self.window(g.values, g.values.sum(), np.abs(g.values).sum()))
 
 
 def convolve(g1: GridFunction, g2: GridFunction) -> GridFunction:

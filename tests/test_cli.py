@@ -89,6 +89,18 @@ def test_construct_both_methods(tmp_path):
     assert (tmp_path / "construct_spectral.csv").exists()
 
 
+def test_construct_echoes_the_epsilon_that_ran_and_the_clamped_mass(tmp_path):
+    argv = [
+        "construct", "--residual", "gaussian", "--mass", "0.25", "--sigma", "1.5",
+        "--L", "40", "--N", "1024", "--method", "series", "--out-dir", str(tmp_path),
+    ]
+    assert main(argv) == 0
+    report = read_report(tmp_path, "construct")["report"]
+    # no --epsilon given: the critical default, default_epsilon(1.0)
+    assert report["config"]["epsilon"] == 0.01
+    assert 0.0 <= report["results"]["clamped_l1"] < 1e-12
+
+
 def test_construct_from_file_round_trip(tmp_path):
     assert (
         main(

@@ -526,6 +526,19 @@ class TestOverlap:
             run_experiments("infinite_variance", (1.0,), (4,), mc_samples=10, seed=3)
         assert threading.active_count() == before
 
+    def test_stop_ends_a_long_row_before_its_next_block(self, monkeypatch):
+        monkeypatch.setattr(clt, "_MC_CHUNK", 4)
+        stop = threading.Event()
+        sizes = []
+
+        def sampler(rng, size):
+            sizes.append(size)
+            stop.set()
+            return heavy_tail_sampler(rng, size)
+
+        assert clt._monte_carlo(sampler, (1.0,), (16,), 3, 5, stop) is None
+        assert sizes == [(1, 4)]
+
     def test_chunks_hold_at_most_mc_chunk_draws(self, monkeypatch):
         sizes = []
 

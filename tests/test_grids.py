@@ -199,6 +199,15 @@ class TestConvolve:
         for g in (other, gauss, other):
             np.testing.assert_array_equal(plan(g).values, convolve(gauss, g).values)
 
+    # the four-step line, a short line, d = 2 and d = 3
+    @pytest.mark.parametrize("dim, n", [(1, 2**14), (1, 64), (2, 32), (3, 16)])
+    def test_plan_window_is_the_convolution(self, dim, n):
+        spec = GridSpec(dim=dim, extent=6.0, points_per_axis=n)
+        f = sample(spec, families.gaussian_density())
+        g = GridFunction(spec=spec, values=np.random.default_rng(dim).standard_normal(spec.shape))
+        window = ConvolutionPlan(f).window(g.values, g.values.sum(), np.abs(g.values).sum())
+        np.testing.assert_array_equal(window, convolve(f, g).values)
+
     def test_mass_guard_catches_corrupt_inverse(self, gauss, monkeypatch):
         real_inverse = ConvolutionPlan._inverse
 
