@@ -7,23 +7,24 @@ own grid's frequencies scaled by 1/sqrt(n) (one chirp-z transform per n,
 over the nodes from the first nonzero one to the last), raise to the n-th
 power, invert on the same grid.  As w is real, only the half m >= 0 is
 computed, powered and inverted (irfft).  On 2 cores (numpy 2.4.6) a
-density on the CLI's 2^18-point grid takes 45-105 ms per n for the uniform
-summand, nonzero on 11 % of it, and 80-145 ms for the heavy tail.  With
+density on the CLI's 2^18-point grid takes 31-60 ms per n for the uniform
+summand, nonzero on 11 % of it, and 61-99 ms for the heavy tail.  With
 finite variance the mass in a fixed ball tends to the Gaussian ball mass;
 with infinite variance it drains to zero, which a mandatory Monte Carlo
 cross-check confirms independently of the grid (window truncation alone
 would fake a finite variance).
 
-run_experiments draws the Monte Carlo sums as one future on a worker
-thread, beside the grid densities that the calling thread builds when more
-than one core is usable (both halves run numpy code that releases the GIL)
-and after them on one core, _MC_CHUNK // n rows of n draws at a time, or
-one row in blocks of _MC_CHUNK beyond.  The draws come from per-n streams
-of the recorded seed, so results depend neither on which nor on batch size.
+run_experiments lists the Monte Carlo sums as chunks of _MC_CHUNK // n rows
+of n draws, each drawn from its n's stream of the recorded seed advanced to
+its first row.  With more than one usable core a worker thread draws chunks
+beside the grid densities (numpy code that releases the GIL), and the
+calling thread drains the rest after them; on one core it draws them all
+after.  Hit counts are integers, so no result depends on who drew what.
 """
 
 from __future__ import annotations
 
+import collections
 import math
 import threading
 from dataclasses import dataclass
@@ -37,13 +38,10 @@ from .grids import sample_with_mass, usable_cores, warn
 DENSITY_CLAMP = 1e-8
 MASS_WARN = 0.02
 
-# Scalar draws per Monte Carlo batch, and per block of a longer row of n
-# draws: 2 MB of float64, one core's L2 cache on the 2-core host where
-# it was chosen.  Alone, the infinite-variance Monte Carlo of the clt command
-# took 0.35-0.47 s in such batches and 0.48-0.68 s in 8 MB ones (two of three
-# interleaved sets; the third showed no difference).  Beside the grid half the
-# wall times did not differ measurably, and the clt commands' benchmark peaked
-# at 95 MB instead of 108 MB.  The draws do not depend on the batch size.
+# Scalar draws per Monte Carlo chunk, and per block of a longer row of n
+# draws: 2 MB of float64, one core's L2 cache on the 2-core host where it was
+# chosen (README has the timings).  Chunks are the unit that the threads
+# share out; the draws do not depend on their size.
 _MC_CHUNK = 2**18
 
 # Summand grids: the unit-variance uniform sits well inside [-16, 16); the
@@ -81,23 +79,30 @@ def _charfun_on_scaled_lattice(w: GridFunction, n: int) -> np.ndarray:
     w_j conj(chirp_|j|) with chirp_|m - j| (Bluestein), j over the S nodes
     from the first nonzero one to the last: FFTs of length >= S + N/2.  The
     summand is real, so X(-m) = conj(X(m)) and only m >= 0 is computed;
-    m = N/2 lies one past the grid's top frequency.
+    m = N/2 lies one past the grid's top frequency.  The chirp is evaluated
+    at t >= 0 up to the largest index read, max(|m - j|, m), and the kernel
+    is filled from slices of it.
     """
     spec = w.spec
     points = spec.points_per_axis
     count = points // 2 + 1
     a = spec.spacing / (2.0 * spec.extent * math.sqrt(n))
-    # exp(i pi a t^2) is even in t; |m - j| never exceeds N
-    chirp = np.exp(1j * np.pi * a * np.arange(points + 1, dtype=float) ** 2)
     nonzero = w.values != 0  # a mask, freed below
     start, stop = int(nonzero.argmax()), points - int(nonzero[::-1].argmax())
     del nonzero
     support, offset = stop - start, start - points // 2
     size = _fft_length(support + count - 1)
-    spectrum = w.values[start:stop] * chirp[np.abs(np.arange(offset, offset + support))].conj()
-    spectrum = np.fft.fft(spectrum, size)
-    lags = np.abs(np.arange(1 - offset - support, count - offset))  # every m - j
-    spectrum *= np.fft.fft(chirp[lags], size)
+    lo, hi = 1 - offset - support, count - offset  # every m - j lies in [lo, hi)
+    # exp(i pi a t^2) is even in t: read at |m - j|, which covers |j|, and at m
+    chirp = np.exp(1j * np.pi * a * np.arange(max(1 - lo, hi, count), dtype=float) ** 2)
+    kernel = np.zeros(size, dtype=complex)  # chirp_|m - j| at index m - j - lo
+    negative = max(-lo, 0)
+    kernel[:negative] = chirp[negative:0:-1]
+    kernel[negative : hi - lo] = chirp[max(lo, 0) : hi]
+    # m = 0 puts chirp_|j| at index -j - lo, so the support reads the head reversed
+    spectrum = np.fft.fft(w.values[start:stop] * kernel[support - 1 :: -1].conj(), size)
+    spectrum *= np.fft.fft(kernel)
+    del kernel
     product = np.fft.ifft(spectrum)
     del spectrum
     window = product[support - 1 : support - 1 + count] * chirp[:count].conj()
@@ -131,8 +136,9 @@ def rescaled_density(w: GridFunction, n: int) -> GridFunction:
         powered **= n
     # the full inverse's imaginary residue, (-1)^j Im(X(N/2)^n)/(N h), which irfft drops
     imag_peak = abs(powered[-1].imag) / (points * h)
-    density = np.fft.fftshift(np.fft.irfft(powered, points)) / h
+    density = np.fft.fftshift(np.fft.irfft(powered, points))
     del powered
+    density /= h
     low = float(density.min())
     check_real(imag_peak, max(float(density.max()), -low))
     if low < -DENSITY_CLAMP:
@@ -141,7 +147,7 @@ def rescaled_density(w: GridFunction, n: int) -> GridFunction:
             f"rescaled density has negative values down to {low:.3e}; clamping "
             f"them removes L1 mass {removed:.12e}"
         )
-    density = np.maximum(density, 0.0)
+    np.maximum(density, 0.0, out=density)
     result = GridFunction(spec=w.spec, values=density)
     out_mass = integrate(result)
     if abs(out_mass - 1.0) > MASS_WARN:
@@ -169,37 +175,75 @@ def phi_functional(density: GridFunction) -> float:
     return float(np.sum(weights * density.values) * density.spec.cell_volume)
 
 
-def _monte_carlo(sampler, radii, n_list, mc_samples, seed, stop: threading.Event):
-    """Monte Carlo ball masses and standard errors, one list per radius.
+class _MonteCarlo:
+    """The Monte Carlo chunks of one run, for any number of threads to drain.
 
     Each n draws from its own stream spawned from seed, in chunks of
-    max(1, _MC_CHUNK // n) rows of n scalars, a longer row in blocks of
-    _MC_CHUNK: at most _MC_CHUNK scalars for any n.  A set stop event ends
-    the run before the next block and returns None.
+    max(1, _MC_CHUNK // n) rows of n scalars (one row in blocks of _MC_CHUNK
+    beyond).  A chunk's generator is its stream advanced past the rows before
+    it, so a sampler must draw one double per value, as Generator.random and
+    uniform do.  Hit counts are integers, so chunk order cannot change them.
     """
-    mc_values: list[list[float]] = [[] for _ in radii]
-    mc_stderr: list[list[float]] = [[] for _ in radii]
-    streams = np.random.SeedSequence(seed).spawn(len(n_list))
-    for n, stream in zip(n_list, streams):
-        rng = np.random.default_rng(stream)
-        chunk = max(1, _MC_CHUNK // n)
-        blocks = range(0, n, _MC_CHUNK)  # more than one only when chunk == 1
-        scale = 1.0 / math.sqrt(n)
-        hits = [0] * len(radii)
-        for done in range(0, mc_samples, chunk):
-            rows = min(chunk, mc_samples - done)
-            sums = 0.0
-            for b in blocks:
-                if stop.is_set():
-                    return None
-                sums += sampler(rng, (rows, min(_MC_CHUNK, n - b))).sum(axis=1)
-            sums = np.abs(sums) * scale
-            hits = [h + int(np.count_nonzero(sums <= r)) for h, r in zip(hits, radii)]
-        for values, errors, h in zip(mc_values, mc_stderr, hits):
-            p = h / mc_samples
-            values.append(p)
-            errors.append(math.sqrt(p * (1.0 - p) / mc_samples))
-    return mc_values, mc_stderr
+
+    def __init__(self, sampler, radii, n_list, mc_samples, seed, stop: threading.Event):
+        self.sampler, self.radii, self.samples, self.stop = sampler, radii, mc_samples, stop
+        self.streams = np.random.SeedSequence(seed).spawn(len(n_list))
+        self.chunks = collections.deque()  # (index of n, n, first row, rows), under lock
+        for i, n in enumerate(n_list):
+            step = max(1, _MC_CHUNK // n)
+            starts = range(0, mc_samples, step)
+            self.chunks.extend((i, n, first, min(step, mc_samples - first)) for first in starts)
+        self.hits = [[0] * len(radii) for _ in n_list]  # under lock
+        self.lock = threading.Lock()
+        self.error: BaseException | None = None  # what a worker's drain raised
+
+    def draw(self, i, n, first, rows):
+        """Hit counts per radius of one chunk; None if stop is set before a block."""
+        bits = np.random.PCG64(self.streams[i])
+        bits.advance(first * n)
+        rng = np.random.Generator(bits)
+        sums = 0.0
+        for block in range(0, n, _MC_CHUNK):  # more than one only when rows == 1
+            if self.stop.is_set():
+                return None
+            sums += self.sampler(rng, (rows, min(_MC_CHUNK, n - block))).sum(axis=1)
+        sums = np.abs(sums) * (1.0 / math.sqrt(n))  # a division rounds differently at |S| = R
+        return [int(np.count_nonzero(sums <= r)) for r in self.radii]
+
+    def drain(self) -> bool:
+        """Draw chunks until none is left; False if stopped."""
+        while True:
+            with self.lock:
+                if not self.chunks:
+                    return True
+                i, n, first, rows = self.chunks.popleft()
+            counts = self.draw(i, n, first, rows)
+            if counts is None:
+                return False
+            with self.lock:
+                self.hits[i] = [h + c for h, c in zip(self.hits[i], counts)]
+
+    def work(self) -> None:
+        """drain() for a worker thread: an error sets stop and is kept for the caller to raise."""
+        try:
+            self.drain()
+        except BaseException as exc:  # noqa: BLE001  (raised on the calling thread)
+            self.error = exc
+            self.stop.set()
+
+    def result(self):
+        """Ball masses and standard errors, one list per radius."""
+        p = [[h / self.samples for h in hits] for hits in zip(*self.hits)]
+        return p, [[math.sqrt(v * (1.0 - v) / self.samples) for v in row] for row in p]
+
+
+def _monte_carlo(sampler, radii, n_list, mc_samples, seed, stop: threading.Event):
+    """Monte Carlo ball masses and standard errors, or None if stopped.
+
+    The sequential reference: every chunk drawn in order on the calling thread.
+    """
+    draws = _MonteCarlo(sampler, radii, n_list, mc_samples, seed, stop)
+    return draws.result() if draws.drain() else None
 
 
 def _summand(w_kind: str):
@@ -240,6 +284,12 @@ def run_experiments(
     once per n and read at every radius; one result per radius comes back
     in radii order, duplicates included.  Radii must be finite and > 0,
     and n_list strictly increasing integers >= 1; neither may be empty.
+
+    With more than one usable core a worker thread starts on the Monte Carlo
+    chunks before the first density, and the calling thread draws what is
+    left after its last one.  A sampler draws one double per value (see
+    _MonteCarlo).  An error in either half stops the other before its next
+    block, and no thread outlives the call.
     """
     radii, n_list = tuple(radii), tuple(n_list)
     if not radii:
@@ -254,33 +304,35 @@ def run_experiments(
     if seed is not None:
         check_count("seed", seed, 0, "None or a nonnegative integer")
     spec, evaluator, sampler, limit = _summand(w_kind)
-    density = sample_with_mass(spec, evaluator, 1.0)
-
-    from concurrent.futures import ThreadPoolExecutor  # here, so that importing clt stays cheap
 
     p_values: list[list[float]] = [[] for _ in radii]
     phi_values = []
-    mc_values, mc_stderr = [[] for _ in radii], [[] for _ in radii]
     stop = threading.Event()
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="clt-monte-carlo") as pool:
-
-        def draw():
-            return pool.submit(_monte_carlo, sampler, radii, n_list, mc_samples, seed, stop)
-
-        # On one core the halves would only take turns: pinned to one core of
-        # a 2-core host, that ran 5 to 8 percent slower than one after the other.
-        overlapped = draw() if mc_samples > 0 and usable_cores() > 1 else None
-        try:
-            for n in n_list:
-                dens = rescaled_density(density, n)
-                for values, radius in zip(p_values, radii):
-                    values.append(ball_mass(dens, radius))
-                phi_values.append(phi_functional(dens))
-        except BaseException:
-            stop.set()  # the worker ends before its next block; leaving the pool joins it
-            raise
-        if mc_samples > 0:
-            mc_values, mc_stderr = (overlapped or draw()).result()
+    draws = _MonteCarlo(sampler, radii, n_list, mc_samples, seed, stop)
+    worker = threading.Thread(target=draws.work, name="clt-monte-carlo")
+    # On one core the halves would only take turns: pinned to one core of
+    # a 2-core host, that ran 5 to 8 percent slower than one after the other.
+    if draws.chunks and usable_cores() > 1:
+        worker.start()
+    try:
+        density = sample_with_mass(spec, evaluator, 1.0)
+        for n in n_list:
+            dens = rescaled_density(density, n)
+            for values, radius in zip(p_values, radii):
+                values.append(ball_mass(dens, radius))
+            phi_values.append(phi_functional(dens))
+        draws.drain()  # what the worker has not reached, or every chunk on one core
+    except BaseException:
+        stop.set()  # the worker ends before its next block
+        raise
+    finally:
+        if worker.is_alive():
+            worker.join()
+    if draws.error is not None:
+        raise draws.error
+    mc_values = mc_stderr = [()] * len(radii)
+    if mc_samples > 0:
+        mc_values, mc_stderr = draws.result()
 
     return tuple(
         CltResult(

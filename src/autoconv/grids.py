@@ -313,7 +313,9 @@ class ConvolutionPlan:
     def __call__(self, g: GridFunction) -> GridFunction:
         if g.spec != self.kernel.spec:
             raise ValueError("grid specs do not match")
-        return GridFunction(g.spec, self.window(g.values, g.values.sum(), np.abs(g.values).sum()))
+        # A copy: the window is a view into the padded product, 1.5^d times its size.
+        window = self.window(g.values, g.values.sum(), np.abs(g.values).sum())
+        return GridFunction(g.spec, window.copy())
 
 
 def convolve(g1: GridFunction, g2: GridFunction) -> GridFunction:

@@ -1,6 +1,7 @@
 import math
 import os
 import re
+import sys
 import threading
 import warnings
 
@@ -212,6 +213,21 @@ class TestRescaledDensity:
             monkeypatch.setattr(np.fft, name, spy)
         _charfun_on_scaled_lattice(w, 4)
         assert lengths == [length] * 3
+
+    def test_chirp_covers_only_the_indices_read(self, monkeypatch):
+        # the uniform summand spans j = -14,188..14,188: |m - j| < 145,261 for m <= 2^17
+        lengths = []
+        real = np.exp
+
+        def spy(x, *args, **kwargs):
+            lengths.append(np.size(x))
+            return real(x, *args, **kwargs)
+
+        spec, evaluator = clt._summand("finite_variance")[:2]
+        w = normalized(spec, evaluator)
+        monkeypatch.setattr(np, "exp", spy)
+        _charfun_on_scaled_lattice(w, 4)
+        assert lengths == [145_261]
 
     @pytest.mark.parametrize("n", [3, 16])
     def test_one_axis_matches_scipy_czt(self, n):
@@ -425,6 +441,17 @@ class TestRunExperiments:
         monkeypatch.setattr(clt, "_MC_CHUNK", 1_000_000)
         assert clt._monte_carlo(*draws) == default
 
+    # 9 and 2 rows per chunk; one row per chunk, a row of n = 16 in blocks of 5, 5, 5 and 1
+    @pytest.mark.parametrize("mc_chunk", [37, 5])
+    def test_chunk_order_leaves_monte_carlo_unchanged(self, monkeypatch, mc_chunk):
+        monkeypatch.setattr(clt, "_MC_CHUNK", mc_chunk)
+        draws = (heavy_tail_sampler, (0.5, 2.0), (4, 16), 1_001, 4, threading.Event())
+        backwards = clt._MonteCarlo(*draws)
+        backwards.chunks.reverse()
+        assert backwards.chunks[0] == (1, 16, 1_000, 1)  # the last row of n = 16
+        assert backwards.drain() and not backwards.chunks
+        assert backwards.result() == clt._monte_carlo(*draws)
+
     @pytest.mark.parametrize("radii", [(), (-1.0,), (0.0,), (1.0, math.nan), (math.inf,)])
     def test_radii_must_be_finite_and_positive(self, radii):
         with pytest.raises(ValueError, match="radii"):
@@ -454,30 +481,100 @@ class TestOverlap:
     @pytest.mark.parametrize("mc_samples", [0, 3_000])
     @pytest.mark.parametrize("kind", ["finite_variance", "infinite_variance"])
     def test_results_do_not_depend_on_overlap(self, monkeypatch, kind, mc_samples):
-        threads = []
-        real = clt._monte_carlo
+        drawn = []  # (chunk, thread)
+        worker_drew = threading.Event()
+        real = clt._MonteCarlo.draw
 
-        def spy(*args):
-            threads.append(threading.current_thread())
-            return real(*args)
+        def spy(self, i, n, first, rows):
+            drawn.append(((n, first, rows), threading.current_thread()))
+            if threading.current_thread() is not threading.main_thread():
+                worker_drew.set()
+            return real(self, i, n, first, rows)
 
-        monkeypatch.setattr(clt, "_monte_carlo", spy)
+        density = clt.rescaled_density
+
+        def after_a_worker_draw(w, n):
+            # with two cores, the worker starts drawing before the first density
+            assert cores == 1 or not mc_samples or worker_drew.wait(timeout=60)
+            return density(w, n)
+
         n_list, radii, seed = (4, 9), (1.0, 0.5, 1.0), 21
         grid_only = run_experiments(kind, radii, n_list, mc_samples=0, seed=seed)
         sampler = clt._summand(kind)[2]
+        monkeypatch.setattr(clt._MonteCarlo, "draw", spy)
+        monkeypatch.setattr(clt, "rescaled_density", after_a_worker_draw)
         for cores in (2, 1):
             set_cores(monkeypatch, cores)
-            threads.clear()
+            drawn.clear()
+            worker_drew.clear()
             results = run_experiments(kind, radii, n_list, mc_samples, seed)
             assert [r.p_values for r in results] == [r.p_values for r in grid_only]
             assert [r.phi_values for r in results] == [r.phi_values for r in grid_only]
             if not mc_samples:
-                assert threads == [] and results[0].mc_values == ()
+                assert drawn == [] and results[0].mc_values == ()
                 continue
-            assert len(threads) == 1 and threads[0] is not threading.main_thread()
-            values, errors = real(sampler, radii, n_list, mc_samples, seed, threading.Event())
+            # each n fits one chunk of 3,000 rows
+            assert [chunk for chunk, _ in drawn] == [(4, 0, 3_000), (9, 0, 3_000)]
+            if cores == 1:
+                assert all(thread is threading.main_thread() for _, thread in drawn)
+            else:
+                assert drawn[0][1] is not threading.main_thread()
+            values, errors = clt._monte_carlo(
+                sampler, radii, n_list, mc_samples, seed, threading.Event()
+            )
             assert [r.mc_values for r in results] == [tuple(v) for v in values]
             assert [r.mc_stderr for r in results] == [tuple(e) for e in errors]
+
+    def test_both_threads_draw(self, monkeypatch):
+        set_cores(monkeypatch, 2)
+        monkeypatch.setattr(clt, "_MC_CHUNK", 37)
+        monkeypatch.setattr(clt, "rescaled_density", lambda w, n: w)
+        worker_waits, main_drew = threading.Event(), threading.Event()
+        threads = []
+
+        def sampler(rng, size):
+            # the worker takes a chunk, then holds back until the caller has drawn one
+            thread = threading.current_thread()
+            if thread is threading.main_thread():
+                assert worker_waits.wait(timeout=60)
+            else:
+                worker_waits.set()
+                assert main_drew.wait(timeout=60)
+            values = heavy_tail_sampler(rng, size)
+            threads.append(thread)
+            if thread is threading.main_thread():
+                main_drew.set()
+            return values
+
+        monkeypatch.setattr(clt, "heavy_tail_sampler", sampler)
+        n_list, radii, mc_samples, seed = (4, 16), (0.5, 2.0), 1_001, 6
+        before = threading.active_count()
+        results = run_experiments("infinite_variance", radii, n_list, mc_samples, seed)
+        assert threading.active_count() == before
+        assert len(threads) == 112 + 501  # 1,001 rows in chunks of 9, then of 2
+        assert threading.main_thread() in threads and len(set(threads)) == 2
+        values, errors = clt._monte_carlo(
+            heavy_tail_sampler, radii, n_list, mc_samples, seed, threading.Event()
+        )
+        assert [r.mc_values for r in results] == [tuple(v) for v in values]
+        assert [r.mc_stderr for r in results] == [tuple(e) for e in errors]
+
+    def test_concurrent_drains_lose_no_count(self, monkeypatch):
+        monkeypatch.setattr(clt, "_MC_CHUNK", 5)  # 301 one-row chunks per n, n = 16 in 4 blocks
+        draws = (heavy_tail_sampler, (0.5, 2.0), (4, 16), 301, 8, threading.Event())
+        shared = clt._MonteCarlo(*draws)
+        threads = [threading.Thread(target=shared.drain) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert shared.result() == clt._monte_carlo(*draws)
 
     def test_cpu_count_without_affinity_call(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -540,6 +637,7 @@ class TestOverlap:
         assert sizes == [(1, 4)]
 
     def test_chunks_hold_at_most_mc_chunk_draws(self, monkeypatch):
+        set_cores(monkeypatch, 1)  # one thread draws the chunks in list order
         sizes = []
 
         def sampler(rng, size):

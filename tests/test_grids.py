@@ -208,6 +208,12 @@ class TestConvolve:
         window = ConvolutionPlan(f).window(g.values, g.values.sum(), np.abs(g.values).sum())
         np.testing.assert_array_equal(window, convolve(f, g).values)
 
+    @pytest.mark.parametrize("dim, n", [(1, 2**14), (2, 32), (3, 16)])
+    def test_result_owns_its_values(self, dim, n):
+        # not a view that keeps the whole (3N/2)^d padded product alive
+        f = sample(GridSpec(dim=dim, extent=6.0, points_per_axis=n), families.gaussian_density())
+        assert convolve(f, f).values.base is None
+
     def test_mass_guard_catches_corrupt_inverse(self, gauss, monkeypatch):
         real_inverse = ConvolutionPlan._inverse
 
