@@ -92,6 +92,8 @@ def _grid_function(cfg) -> grids.GridFunction:
     elif name in table:
         build = table[name]
         read = _params(build)
+        if cfg["N"] is None:
+            cfg["N"] = _DEFAULT_N.get(cfg["d"])
         spec = grids.GridSpec(dim=cfg["d"], extent=cfg["L"], points_per_axis=cfg["N"])
         g = build(spec, **{key: cfg[key] for key in read})
     elif source == "family" and name:
@@ -210,8 +212,9 @@ def _run_clt(cfg):
 _GRID = {
     "d": (int, 1, "dimension: 1, 2 or 3"),
     "L": (float, 100.0, "grid window [-L, L) per axis"),
-    "N": (int, 16384, "grid points per axis, a power of two"),
+    "N": (int, None, "points per axis, a power of two (default 16384, 256, 64 in d = 1, 2, 3)"),
 }
+_DEFAULT_N = {1: 16384, 2: 256, 3: 64}  # 16384 per axis is 2 GiB an array in d = 2
 _FAMILY = {
     **_GRID,
     "family": (str, None, "poisson, poisson_margin, sinc, heavy_tail, gaussian or reverse"),

@@ -6,8 +6,8 @@ with mass at most 1/4.  Two independent routes realize f from u:
 * the series route sums (1/2) c_n 4^n (n-fold convolution of u) with the
   sqrt(1-x) coefficients c_n, truncated once a certified L^1 tail bound
   drops below a target;
-* the spectral route evaluates (1 - sqrt(1 - 4 uhat)) / 2 on the grid
-  frequencies and inverts, exact in the number of terms.
+* the spectral route evaluates (1 - sqrt(1 - 4 uhat)) / 2 on the real
+  half-spectrum of the grid and inverts, exact in the number of terms.
 
 crosscheck measures their L^1 gap on the window: a diagnostic that
 tail_l1 alone does not bound at critical mass (see crosscheck).
@@ -25,10 +25,7 @@ from .grids import (
     ConvolutionPlan,
     GridFunction,
     GridSpec,
-    Spectrum,
     check_number,
-    dft,
-    idft,
     integrate,
     sample_with_mass,
     warn,
@@ -224,18 +221,20 @@ def build_spectral(u: GridFunction) -> GridFunction:
     (1 + MASS_RTOL)/4 is built as critical, just as the series route caps
     its ratio at 1.  Anything else raises.
 
-    For a nonnegative residual |4 uhat(k)| <= 4 uhat(0) <= 1 (up to
-    MASS_RTOL), so z = 1 - 4 uhat lies in the closed right half-plane,
-    where the principal square root is continuous.  Re z is clamped at 0
-    at every frequency, which removes only that rounding and tolerance
-    excess (at k = 0 it is what makes a mass above 1/4 critical), so no
-    sample can cross the branch cut.
+    uhat is h^d rfftn(u) with the origin at index 0, a half-spectrum
+    whose inverse is real by construction.  A nonnegative residual has
+    |4 uhat(k)| <= 4 uhat(0) <= 1 (up to MASS_RTOL), so z = 1 - 4 uhat
+    lies in the closed right half-plane, where the principal root is
+    continuous.  Re z is clamped at 0 at every frequency, removing only
+    that rounding and tolerance excess (at k = 0 it makes a mass above
+    1/4 critical), so no sample can cross the branch cut.
     """
     u, _ = _validated_residual(u)
-    z = 1.0 - 4.0 * dft(u).values
+    spec, axes = u.spec, tuple(range(u.spec.dim))
+    z = 1.0 - 4.0 * spec.cell_volume * np.fft.rfftn(np.fft.ifftshift(u.values), axes=axes)
     np.maximum(z.real, 0.0, out=z.real)
-    fhat = 0.5 - 0.5 * np.sqrt(z)
-    return idft(Spectrum(spec=u.spec, values=fhat))
+    values = np.fft.irfftn(0.5 - 0.5 * np.sqrt(z), s=spec.shape, axes=axes)
+    return GridFunction(spec=spec, values=np.fft.fftshift(values) / spec.cell_volume)
 
 
 def crosscheck(series: SeriesBuild, spectral: GridFunction) -> float:

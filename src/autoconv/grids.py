@@ -114,11 +114,8 @@ class GridSpec:
 
     def radii(self) -> np.ndarray:
         """Euclidean node distances |x_j| with the grid's shape."""
-        grids = self.node_grids()
-        r2 = grids[0] ** 2
-        for g in grids[1:]:
-            r2 = r2 + g**2
-        return np.sqrt(r2)
+        axes = np.ix_(*(self.axis_nodes(),) * self.dim)
+        return np.sqrt(functools.reduce(np.add, [x**2 for x in axes]))
 
     def node(self, flat_index: int) -> tuple[float, ...]:
         """Coordinates of the node at a row-major flat index."""
@@ -332,10 +329,10 @@ def convolve(g1: GridFunction, g2: GridFunction) -> GridFunction:
 
 
 def dft(g: GridFunction) -> Spectrum:
-    """Scaled transform h^d sum values[j] exp(-i 2 pi k_m . x_j).
+    """Scaled transform h^d sum values[j] exp(-i 2 pi k_m . x_j), the complex reference.
 
-    The shift sandwich moves the origin-centered samples into standard
-    FFT order and back, which realizes the phase factor exactly.
+    No library route calls it.  The shift sandwich moves the origin-centered
+    samples into FFT order and back, which realizes the phase factor exactly.
     """
     spec = g.spec
     out = np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(g.values))) * spec.cell_volume
@@ -343,7 +340,7 @@ def dft(g: GridFunction) -> Spectrum:
 
 
 def idft(s: Spectrum) -> GridFunction:
-    """Inverse transform with frequency weight 1/(2L)^d.
+    """Inverse of dft with frequency weight 1/(2L)^d; no library route calls it.
 
     The spectrum must be conjugate symmetric, so the result is real: an
     imaginary residue above IDFT_IMAG_TOL of the peak raises ValueError.

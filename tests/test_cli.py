@@ -157,6 +157,14 @@ def test_input_sets_the_echoed_grid(tmp_path):
     assert (cfg["d"], cfg["L"], cfg["N"]) == (1, 100.0, 1024)
 
 
+@pytest.mark.parametrize("dim,n", [(2, 256), (3, 64)])
+def test_default_points_per_axis_follow_the_dimension(tmp_path, dim, n):
+    # at the line's 16384 points per axis one d = 2 array would take 2 GiB
+    argv = ["family", "--family", "poisson", "--d", str(dim), "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    assert read_report(tmp_path, "family")["report"]["config"]["N"] == n
+
+
 @pytest.mark.parametrize(
     "command,flag,name",
     [

@@ -68,6 +68,16 @@ class TestGridSpec:
         assert nodes[0] == -spec.extent
         assert spec.spacing * spec.points_per_axis == 2.0 * spec.extent
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_radii_match_node_grids(self, dim):
+        # the open-grid sum adds the squares in the meshgrid formula's order
+        spec = GridSpec(dim=dim, extent=5.0, points_per_axis=16)
+        coords = spec.node_grids()
+        r2 = coords[0] ** 2
+        for c in coords[1:]:
+            r2 = r2 + c**2
+        assert np.array_equal(spec.radii(), np.sqrt(r2))
+
     def test_frequencies(self):
         spec = spec1(L=8.0, N=16)
         k = spec.axis_frequencies()
