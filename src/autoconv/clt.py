@@ -165,14 +165,21 @@ def ball_mass(density: GridFunction, radius: float) -> float:
     quantity is only informative for radius < extent.
     """
     check_number("radius", radius, "nonnegative")
-    sel = density.spec.radii() <= radius
-    return float(density.values[sel].sum() * density.spec.cell_volume)
+    return _ball_reads(density, density.spec.radii(), (radius,), phi=False)[0]
 
 
 def phi_functional(density: GridFunction) -> float:
     """h^d sum min(1, |x_j|) density[j]; tends to 1 when mass escapes."""
-    weights = np.minimum(1.0, density.spec.radii())
-    return float(np.sum(weights * density.values) * density.spec.cell_volume)
+    return _ball_reads(density, density.spec.radii(), ())[0]
+
+
+def _ball_reads(density: GridFunction, nodes: np.ndarray, radii, phi=True) -> list[float]:
+    """ball_mass at each of radii, then phi_functional if phi; nodes is density.spec.radii()."""
+    h = density.spec.cell_volume
+    reads = [float(density.values[nodes <= radius].sum() * h) for radius in radii]
+    if phi:
+        reads.append(float(np.sum(np.minimum(1.0, nodes) * density.values) * h))
+    return reads
 
 
 class _MonteCarlo:
@@ -316,11 +323,12 @@ def run_experiments(
         worker.start()
     try:
         density = sample_with_mass(spec, evaluator, 1.0)
+        nodes = spec.radii()  # every rescaled density lives on the summand's grid
         for n in n_list:
-            dens = rescaled_density(density, n)
-            for values, radius in zip(p_values, radii):
-                values.append(ball_mass(dens, radius))
-            phi_values.append(phi_functional(dens))
+            *masses, phi = _ball_reads(rescaled_density(density, n), nodes, radii)
+            for values, mass in zip(p_values, masses):
+                values.append(mass)
+            phi_values.append(phi)
         draws.drain()  # what the worker has not reached, or every chunk on one core
     except BaseException:
         stop.set()  # the worker ends before its next block

@@ -24,7 +24,6 @@ full circular product guards it in place of an imaginary-residue check.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import json
 import math
@@ -36,6 +35,8 @@ from typing import Callable
 
 import numpy as np
 
+from . import csvcells
+
 # Relative ceiling, in units of sum|f| sum|g|, on the gap between the sum of
 # a full padded circular convolution and sum(f) sum(g); anything larger
 # signals an FFT defect.
@@ -46,9 +47,10 @@ FOUR_STEP_MIN = 12288
 # Relative ceiling on the imaginary residue of an inverse transform whose
 # result is contractually real.
 IDFT_IMAG_TOL = 1e-10
-# Rows formatted per block by write_csv; one block's text and cells take a
-# few MB.
+# Rows per write_csv block, and per piece converted at once within a block:
+# in pieces of 2^14, a 2^16-row float block ran 2x faster (one Xeon core).
 CSV_CHUNK_ROWS = 1 << 16
+_PIECE_ROWS = 1 << 14
 # Frames from files in this directory are the package's own; warn skips them.
 _PACKAGE_DIR = os.path.dirname(__file__)
 
@@ -409,34 +411,24 @@ def warn(message: str) -> None:
     warnings.warn(message, stacklevel=level)
 
 
-def _format_block(row_fmt: str, cols: list, axes: list, bounds: tuple[int, int]) -> str:
-    """CSV text of rows [start, stop) of one write_csv table.
+def _format_block(cols: list, axes: list, bounds: tuple[int, int]) -> bytes:
+    """CSV bytes of rows [start, stop) of one write_csv table, _PIECE_ROWS at a time.
 
-    axes holds (stride, formatted nodes) per grid coordinate; each row
-    picks its node strings by index, then one cell from every column.
+    axes holds (stride, node cells) per grid coordinate, picked by row index.  Each
+    cell and separator owns fixed byte columns; the bytes no cell fills are dropped.
     """
-    start, stop = bounds
-    width = len(axes) + len(cols)
-    cells = [None] * (width * (stop - start))
-    index = np.arange(start, stop)
-    for k, (stride, nodes) in enumerate(axes):
-        cells[k::width] = nodes[index // stride % nodes.size].tolist()
-    for k, c in enumerate(cols, start=len(axes)):
-        cells[k::width] = c[start:stop].tolist()
-    return (row_fmt * (stop - start)) % tuple(cells)
-
-
-# The formatter of the table a write_csv pool serves, set in each worker.
-_worker_formatter: Callable[[tuple[int, int]], str] | None = None
-
-
-def _install_formatter(formatter: Callable[[tuple[int, int]], str]) -> None:
-    global _worker_formatter
-    _worker_formatter = formatter
-
-
-def _format_in_worker(bounds: tuple[int, int]) -> str:
-    return _worker_formatter(bounds)
+    pieces = []
+    for start in range(*bounds, _PIECE_ROWS):
+        stop = min(start + _PIECE_ROWS, bounds[1])
+        index = np.arange(start, stop)
+        cells = [(t[i], keep[i]) for stride, (t, keep) in axes for i in [index // stride % len(t)]]
+        cells += [csvcells.cells(c[start:stop]) for c in cols]
+        comma = np.full((stop - start, 1), ord(","), np.uint8)
+        text = np.hstack([part for t, _ in cells for part in (t, comma)])
+        mask = np.hstack([part for _, keep in cells for part in (keep, comma > 0)])
+        text[:, -1] = ord("\n")
+        pieces.append(text[mask].tobytes())
+    return b"".join(pieces)
 
 
 def write_csv(path, header, columns, spec: GridSpec | None = None) -> None:
@@ -448,54 +440,27 @@ def write_csv(path, header, columns, spec: GridSpec | None = None) -> None:
     every row starts with the coordinates of one node of that grid in
     row-major order (as spec.node_grids()), so each column must hold one
     value per node; each axis node is formatted once and rows pick theirs
-    by index.  Rows are formatted CSV_CHUNK_ROWS at a time by a single
-    string % operation, which keeps memory bounded for any row count.
-
-    When the table has more than one block, more than one core is usable
-    and the "fork" start method exists, min(cores, blocks) forked pool
-    workers format the blocks and this process writes each block's text in
-    block order as it arrives; otherwise the same per-block formatter runs
-    inline.  The bytes are the same either way.  Fork, not spawn: the
-    workers inherit the columns instead of receiving a pickled copy, and
-    they call no BLAS, whose thread pool numpy's OpenBLAS shuts down across
-    a fork.  No worker outlives the call, and an error in one reaches the
-    caller.  On Python >= 3.12 os.fork warns (DeprecationWarning) when the
-    process has other OS threads, the OpenBLAS pool among them; the default
-    filters show that warning only in __main__.
+    by index.  Blocks of CSV_CHUNK_ROWS rows keep memory bounded.  numpy
+    array operations give float and integer cells the bytes of %.17g and %d
+    (autoconv.csvcells).  The file is UTF-8, written by this thread alone.
     """
     cols = [np.asarray(c).ravel() for c in columns]
-    fmts = [
-        "%d" if c.dtype.kind in "biu" else "%s" if c.dtype.kind in "OU" else "%.17g"
-        for c in cols
-    ]
     rows = cols[0].size if cols else 0
     axes = []
     if spec is not None:
         n = spec.points_per_axis
         rows = n**spec.dim
-        nodes = np.array(["%.17g" % x for x in spec.axis_nodes().tolist()], dtype=object)
+        nodes = csvcells.cells(spec.axis_nodes())
         axes = [(n ** (spec.dim - 1 - a), nodes) for a in range(spec.dim)]
-        fmts = ["%s"] * spec.dim + fmts
     if any(c.size != rows for c in cols):
         raise ValueError(f"columns hold {[c.size for c in cols]} values, need {rows} each")
-    if len(header) != len(fmts):
-        raise ValueError(f"header names {len(header)} columns, the rows hold {len(fmts)}")
-    formatter = functools.partial(_format_block, ",".join(fmts) + "\n", cols, axes)
-    starts = range(0, rows, CSV_CHUNK_ROWS)
-    blocks = [(start, min(start + CSV_CHUNK_ROWS, rows)) for start in starts]
-    workers = min(usable_cores(), len(blocks))
-    with contextlib.ExitStack() as stack:
-        texts = map(formatter, blocks)
-        if workers > 1:
-            import multiprocessing  # here, so that importing grids stays cheap
-
-            if "fork" in multiprocessing.get_all_start_methods():
-                fork = multiprocessing.get_context("fork")
-                pool = stack.enter_context(fork.Pool(workers, _install_formatter, (formatter,)))
-                texts = pool.imap(_format_in_worker, blocks)
-        fh = stack.enter_context(open(path, "w"))
-        fh.write(",".join(header) + "\n")
-        fh.writelines(texts)
+    width = len(axes) + len(cols)
+    if len(header) != width:
+        raise ValueError(f"header names {len(header)} columns, the rows hold {width}")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for start in range(0, rows, CSV_CHUNK_ROWS):
+            fh.write(_format_block(cols, axes, (start, min(start + CSV_CHUNK_ROWS, rows))))
 
 
 def to_csv(g: GridFunction, path) -> None:

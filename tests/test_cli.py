@@ -619,9 +619,12 @@ def test_usage_error(capsys):
 
 @pytest.mark.parametrize("chunk", [7, grids.CSV_CHUNK_ROWS])
 def test_writer_matches_per_cell_writer_on_mixed_columns(tmp_path, monkeypatch, chunk):
-    # signed zero, the smallest subnormal, huge values and both sides of
-    # %.17g's switches between fixed and exponent form
-    awkward = [-0.0, 5e-324, 1e300, 1e-5, 1e-4, 1e16, 1e17, 0.1, -2.5, 1.0, 0.0]
+    # signed zero, the smallest subnormal, huge values, both sides of
+    # %.17g's switches between fixed and exponent form, a 17-digit half-even
+    # tie, the largest and smallest normal doubles, inf and NaN
+    awkward = [-0.0, 5e-324, 1e300, 1e-5, 1e-4, 1e16, 1e17, 0.1, -2.5, 1.0, 0.0, 2**-25,
+               float(np.nextafter(1e17, 0)), 1.7976931348623157e308, 2.2250738585072014e-308,
+               math.inf, -math.inf, math.nan]
     monkeypatch.setattr(grids, "CSV_CHUNK_ROWS", chunk)
     rows = 2 * len(awkward)
     columns = [
@@ -630,8 +633,11 @@ def test_writer_matches_per_cell_writer_on_mixed_columns(tmp_path, monkeypatch, 
         np.resize(np.array(awkward), rows),
         [""] * rows,
         [float(v) for v in np.resize(np.array(awkward[::-1]), rows)],
+        np.resize(np.array([-(2**63), 2**63 - 1, -1], dtype=np.int64), rows),
+        np.resize(np.array([2**64 - 1, 0], dtype=np.uint64), rows),
+        np.arange(rows) % 3 == 0,
     ]
-    header = ["i", "big", "x", "blank", "y"]
+    header = ["i", "big", "x", "blank", "y", "extreme", "unsigned", "flag"]
     grids.write_csv(tmp_path / "new.csv", header, columns)
     write_rows_per_cell(tmp_path / "old.csv", header, zip(*columns))
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
@@ -1020,8 +1026,8 @@ def test_construct_spectral_only(tmp_path, residual):
 
 
 def test_importing_the_cli_stays_cheap():
-    # the thread and process pools and decimal load only when a command needs them
-    heavy = ("concurrent.futures", "multiprocessing", "decimal")
+    # the thread and process pools, decimal and fractions load only when a command needs them
+    heavy = ("concurrent.futures", "multiprocessing", "decimal", "fractions")
     paths = (os.path.dirname(os.path.dirname(autoconv.__file__)), os.environ.get("PYTHONPATH"))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     probe = f"import sys, autoconv.cli; print([m for m in {heavy!r} if m in sys.modules])"

@@ -420,6 +420,24 @@ class TestRunExperiments:
         for radius, result in zip(radii, results):
             assert result == run_experiment(kind, ball_radius=radius, **args)
 
+    def test_builds_the_node_radii_once(self, monkeypatch):
+        # one radii array serves every ball mass and phi of the run
+        calls = []
+        real = GridSpec.radii
+
+        def counted(spec):
+            calls.append(spec)
+            return real(spec)
+
+        monkeypatch.setattr(GridSpec, "radii", counted)
+        results = run_experiments("finite_variance", (0.5, 1.0, 2.0), n_list=(1, 4), mc_samples=0)
+        assert len(calls) == 1
+        summand = grids.sample_with_mass(calls[0], clt._summand("finite_variance")[1], 1.0)
+        dens = rescaled_density(summand, 4)
+        monkeypatch.undo()
+        assert [r.p_values[1] for r in results] == [ball_mass(dens, r) for r in (0.5, 1.0, 2.0)]
+        assert results[0].phi_values[1] == phi_functional(dens)
+
     def test_chunking_leaves_monte_carlo_unchanged(self, monkeypatch):
         args = dict(n_list=(4, 16), mc_samples=1_001, seed=4)
         whole = run_experiments("infinite_variance", (0.5, 2.0), **args)
