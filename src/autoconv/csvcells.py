@@ -2,6 +2,7 @@
 
 cells(column) returns (text, keep) with one row per value, whose cell is
 text[i][keep[i]].  Floats and integers are converted by array operations.
+Threads may call it at once: concurrent first calls may build a cached table twice, equally.
 """
 
 import functools

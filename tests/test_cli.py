@@ -1026,8 +1026,8 @@ def test_construct_spectral_only(tmp_path, residual):
 
 
 def test_importing_the_cli_stays_cheap():
-    # the thread and process pools, decimal and fractions load only when a command needs them
-    heavy = ("concurrent.futures", "multiprocessing", "decimal", "fractions")
+    # the thread and process pools, queue, decimal and fractions load only when a command needs them
+    heavy = ("concurrent.futures", "multiprocessing", "queue", "decimal", "fractions")
     paths = (os.path.dirname(os.path.dirname(autoconv.__file__)), os.environ.get("PYTHONPATH"))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     probe = f"import sys, autoconv.cli; print([m for m in {heavy!r} if m in sys.modules])"

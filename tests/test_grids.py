@@ -2,11 +2,14 @@ import itertools
 import json
 import math
 import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from autoconv import families, grids
+from autoconv import csvcells, families, grids
 from autoconv.grids import (
     ConvolutionPlan,
     GridFunction,
@@ -604,6 +607,11 @@ def mixed_columns(rows):
     return [ints, words, big, floats, extremes, unsigned, flags]
 
 
+def index_table(rows):
+    """write_csv's text of one int column "i" holding 0 .. rows - 1."""
+    return "i\n" + "".join(f"{i}\n" for i in range(rows))
+
+
 class TestParallelWriteCsv:
     """The bytes do not depend on the usable core count or the block size."""
 
@@ -644,9 +652,161 @@ class TestParallelWriteCsv:
             return real(*args)
 
         monkeypatch.setattr(grids, "_format_block", failing)
+        before = threading.active_count()
         with pytest.raises(ArithmeticError, match="block 3 failed"):
             write_csv(tmp_path / "t.csv", ["i", "x"], [np.arange(30), np.ones(30)])
+        assert threading.active_count() == before
         # the next call, on the real formatter, still writes the whole table
         monkeypatch.setattr(grids, "_format_block", real)
         write_csv(tmp_path / "t.csv", ["i"], [np.arange(30)])
-        assert (tmp_path / "t.csv").read_text() == "i\n" + "".join(f"{i}\n" for i in range(30))
+        assert (tmp_path / "t.csv").read_text() == index_table(30)
+
+    def test_an_error_stops_the_other_thread_before_its_next_block(self, tmp_path, monkeypatch):
+        # block 0 outlasts the failure of block 1 by 0.1 s, time enough to take block 2
+        set_cores(monkeypatch, 2)
+        monkeypatch.setattr(grids, "CSV_CHUNK_ROWS", 7)
+        real, failed, seen = grids._format_block, threading.Event(), []
+
+        def failing(*args):
+            seen.append(args[-1])
+            if args[-1] == (7, 14):
+                failed.set()
+                raise ArithmeticError("block 1 failed")
+            if args[-1] == (0, 7):
+                failed.wait(timeout=10)
+                time.sleep(0.1)
+            return real(*args)
+
+        monkeypatch.setattr(grids, "_format_block", failing)
+        with pytest.raises(ArithmeticError, match="block 1 failed"):
+            write_csv(tmp_path / "t.csv", ["i"], [np.arange(70)])
+        assert sorted(seen) == [(0, 7), (7, 14)]
+
+    def test_the_call_waits_for_a_block_still_formatting_when_another_fails(
+        self, tmp_path, monkeypatch
+    ):
+        # block 3 fails while another thread is inside block 4; the error is raised
+        # only once that thread has finished and ended
+        set_cores(monkeypatch, 4)
+        monkeypatch.setattr(grids, "CSV_CHUNK_ROWS", 7)
+        real, entered, failed = grids._format_block, threading.Event(), threading.Event()
+
+        def failing(*args):
+            if args[-1] == (14, 21):
+                entered.wait(timeout=10)
+                failed.set()
+                raise ArithmeticError("block 3 failed")
+            if args[-1] == (21, 28):
+                entered.set()
+                failed.wait(timeout=10)
+                time.sleep(0.2)
+            return real(*args)
+
+        monkeypatch.setattr(grids, "_format_block", failing)
+        before = threading.active_count()
+        with pytest.raises(ArithmeticError, match="block 3 failed"):
+            write_csv(tmp_path / "t.csv", ["i"], [np.arange(30)])
+        assert entered.is_set() and failed.is_set()
+        assert threading.active_count() == before
+
+    def test_two_cores_format_on_two_threads(self, tmp_path, monkeypatch):
+        # the first block waits, up to 10 s, until a second thread has entered one
+        set_cores(monkeypatch, 2)
+        monkeypatch.setattr(grids, "CSV_CHUNK_ROWS", 7)
+        real, lock, both, seen = grids._format_block, threading.Lock(), threading.Event(), []
+
+        def recording(*args):
+            with lock:
+                seen.append(threading.current_thread())
+                if len(set(seen)) == 2:
+                    both.set()
+            if not both.wait(timeout=10):
+                both.set()  # a second thread never came: the rest need not wait
+            return real(*args)
+
+        monkeypatch.setattr(grids, "_format_block", recording)
+        write_csv(tmp_path / "t.csv", ["i"], [np.arange(30)])
+        assert len(set(seen)) == 2 and threading.main_thread() in seen
+        assert (tmp_path / "t.csv").read_text() == index_table(30)
+
+    @pytest.mark.parametrize("cores", [2, 3])
+    def test_blocks_waiting_to_be_written_stay_within_twice_the_threads(
+        self, tmp_path, monkeypatch, cores
+    ):
+        # block 0 holds the file back until 2 x threads blocks are taken; then the
+        # threads must wait for the file, never formatting a block further ahead
+        set_cores(monkeypatch, cores)
+        monkeypatch.setattr(grids, "CSV_CHUNK_ROWS", 7)
+        real, lock, full = grids._format_block, threading.Lock(), threading.Event()
+        writes, taken, ahead = [0], [], []
+
+        class Counted:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                with lock:
+                    writes[0] += 1  # the header line, then one block each
+                return self.fh.write(data)
+
+        def recording(*args):
+            with lock:
+                taken.append(args[-1])
+                ahead.append(len(taken) - (writes[0] - 1))
+                if len(taken) == 2 * cores:
+                    full.set()
+            if args[-1][0] == 0:
+                full.wait(timeout=10)
+            return real(*args)
+
+        monkeypatch.setattr(grids, "open", lambda *args: Counted(open(*args)), raising=False)
+        monkeypatch.setattr(grids, "_format_block", recording)
+        write_csv(tmp_path / "t.csv", ["i"], [np.arange(100)])
+        assert max(ahead) == 2 * cores
+        assert sorted(taken) == [(s, min(s + 7, 100)) for s in range(0, 100, 7)]
+        assert (tmp_path / "t.csv").read_text() == index_table(100)
+
+    @pytest.mark.parametrize("cores,rows", [(1, 30), (4, 7), (4, 0)])
+    def test_one_core_or_one_block_starts_no_thread(self, tmp_path, monkeypatch, cores, rows):
+        set_cores(monkeypatch, cores)
+        monkeypatch.setattr(grids, "CSV_CHUNK_ROWS", 7)
+        started, start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or start(self))
+        write_csv(tmp_path / "t.csv", ["i"], [np.arange(rows)])
+        assert started == []
+        assert (tmp_path / "t.csv").read_text() == index_table(rows)
+
+    def test_many_threads_switching_often(self, tmp_path, monkeypatch):
+        # 8 threads on at most a few cores, 180 blocks of 3 rows: a block taken twice,
+        # lost or written out of turn changes the bytes
+        set_cores(monkeypatch, 8)
+        monkeypatch.setattr(grids, "CSV_CHUNK_ROWS", 3)
+        header = ["i", "word", "big", "x", "extreme", "unsigned", "flag"]
+        cols = mixed_columns(540)
+        write_rows_per_cell(tmp_path / "old.csv", header, zip(*(c.tolist() for c in cols)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                write_csv(tmp_path / "new.csv", header, cols)
+                assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_cold_tables_on_concurrent_first_use(self, tmp_path, monkeypatch):
+        # every thread may build the lookup tables and powers of ten at once
+        set_cores(monkeypatch, 4)
+        monkeypatch.setattr(grids, "CSV_CHUNK_ROWS", 7)
+        csvcells._tables.cache_clear()
+        csvcells._pow10.cache_clear()
+        header = ["i", "word", "big", "x", "extreme", "unsigned", "flag"]
+        cols = mixed_columns(60)
+        write_csv(tmp_path / "new.csv", header, cols)
+        write_rows_per_cell(tmp_path / "old.csv", header, zip(*(c.tolist() for c in cols)))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
