@@ -205,6 +205,24 @@ def moment(g: GridFunction, order: float) -> float:
     return float(np.sum(g.spec.radii() ** order * g.values) * g.spec.cell_volume)
 
 
+@functools.cache
+def _four_step_twiddles(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """ConvolutionPlan's four-step twiddle for padded length m and its conjugate, read-only."""
+    rows = 1 << math.isqrt(m - 1).bit_length()
+    cols = m // rows
+    # exp(-2 pi i k1 j2 / M) at k1 = 16 a + b is its value at 16 a times its
+    # value at b: two small tables of exponentials, not one per entry.
+    coarse, fine = (
+        np.exp(-2j * math.pi / m * np.outer(k1, np.arange(cols)))
+        for k1 in (np.arange(0, rows // 2 + 16, 16), np.arange(16))
+    )
+    twiddle = (coarse[:, None, :] * fine).reshape(-1, cols)[: rows // 2 + 1]
+    pair = (twiddle, twiddle.conj())
+    for table in pair:
+        table.flags.writeable = False
+    return pair
+
+
 class ConvolutionPlan:
     """Linear convolution with one fixed factor, its transform cached.
 
@@ -221,7 +239,8 @@ class ConvolutionPlan:
     instead runs the four-step transform (Bailey 1990) on the length-M
     circle viewed as a (rows, M / rows) array, rows the smallest power of
     two >= sqrt(M): rfft down the columns, a twiddle exp(-2 pi i k1 j2 / M),
-    then fft along the rows, and the reverse with the conjugate twiddle.
+    then fft along the rows, and the reverse with the conjugate twiddle
+    (built once per M and shared by every plan of that length).
     Two batched transforms of ~sqrt(M) points run faster than one scalar
     transform of M.  The spectrum comes out permuted, but only the
     pointwise product of two spectra in that same order is inverted.
@@ -240,18 +259,7 @@ class ConvolutionPlan:
         self._axes = tuple(range(spec.dim))
         self._keep = (slice(n // 2, None),) * spec.dim
         self._cell = spec.cell_volume
-        self._twiddles = None
-        if spec.dim == 1 and m >= FOUR_STEP_MIN:
-            rows = 1 << math.isqrt(m - 1).bit_length()
-            cols = m // rows
-            # exp(-2 pi i k1 j2 / M) at k1 = 16 a + b is its value at 16 a times its
-            # value at b: two small tables of exponentials, not one per entry.
-            coarse, fine = (
-                np.exp(-2j * math.pi / m * np.outer(k1, np.arange(cols)))
-                for k1 in (np.arange(0, rows // 2 + 16, 16), np.arange(16))
-            )
-            twiddle = (coarse[:, None, :] * fine).reshape(-1, cols)[: rows // 2 + 1]
-            self._twiddles = (twiddle, twiddle.conj())
+        self._twiddles = _four_step_twiddles(m) if spec.dim == 1 and m >= FOUR_STEP_MIN else None
         self._kernel_hat = self._forward(kernel.values)
         self._kernel_sum = float(kernel.values.sum())
         self._kernel_abs = float(np.abs(kernel.values).sum())

@@ -1,5 +1,7 @@
 """Reference implementations that tests compare the library against."""
 
+import math
+
 import numpy as np
 
 
@@ -21,3 +23,44 @@ def write_rows_per_cell(path, header, rows):
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(cell(v) for v in row) + "\n")
+
+
+def _fft_length(target):
+    """The smallest 2^k or 3 * 2^k that is at least target."""
+    power = 1 << (target - 1).bit_length()
+    return 3 * power // 4 if 3 * power // 4 >= target else power
+
+
+def charfun_with_chirp_table(w, n):
+    """The chirp-z transform clt._charfun_on_scaled_lattice replaced, kept as an oracle.
+
+    The same lags, FFT lengths and products, from one table of the chirp
+    exp(i pi a t^2) at t = 0 up to the largest index read, with a fresh
+    array for every intermediate and every FFT.  The CLI's clt.csv bytes
+    were written by this formulation.  Its final product was written
+    product * conj(chirp[:count]); from 256 KiB up (2^15 grid points, the
+    CLI's 2^18 included) numpy elides the conj temporary and multiplies in
+    place on it, twist first, and a complex product rounds differently with
+    its operands swapped.  That order is written out here for every size.
+    """
+    spec = w.spec
+    points = spec.points_per_axis
+    count = points // 2 + 1
+    a = spec.spacing / (2.0 * spec.extent * math.sqrt(n))
+    nonzero = w.values != 0
+    start, stop = int(nonzero.argmax()), points - int(nonzero[::-1].argmax())
+    support, offset = stop - start, start - points // 2
+    size = _fft_length(support + count - 1)
+    lo, hi = 1 - offset - support, count - offset
+    chirp = np.exp(1j * np.pi * a * np.arange(max(1 - lo, hi, count), dtype=float) ** 2)
+    kernel = np.zeros(size, dtype=complex)
+    negative = max(-lo, 0)
+    kernel[:negative] = chirp[negative:0:-1]
+    kernel[negative : hi - lo] = chirp[max(lo, 0) : hi]
+    spectrum = np.fft.fft(w.values[start:stop] * kernel[support - 1 :: -1].conj(), size)
+    spectrum *= np.fft.fft(kernel)
+    product = np.fft.ifft(spectrum)
+    window = chirp[:count].conj()
+    np.multiply(window, product[support - 1 : support - 1 + count], out=window)
+    window *= spec.spacing
+    return window

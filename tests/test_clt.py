@@ -3,6 +3,7 @@ import os
 import re
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,6 +20,7 @@ from autoconv.clt import (
 )
 from autoconv.families import gaussian_density, heavy_tail_density, heavy_tail_sampler
 from autoconv.grids import GridFunction, GridSpec, integrate, sample
+from oracles import charfun_with_chirp_table
 
 
 def normalized(spec, evaluator):
@@ -228,6 +230,53 @@ class TestRescaledDensity:
         monkeypatch.setattr(np, "exp", spy)
         _charfun_on_scaled_lattice(w, 4)
         assert lengths == [145_261]
+
+    @pytest.mark.parametrize("n", [4, 64])
+    @pytest.mark.parametrize("kind", ["finite_variance", "infinite_variance"])
+    def test_cli_grid_bits_match_the_chirp_table(self, kind, n):
+        # the CLI's clt.csv bytes are pinned to the formulation with one chirp table;
+        # uint64 views tell -0.0 from 0.0
+        spec, evaluator = clt._summand(kind)[:2]
+        w = grids.sample_with_mass(spec, evaluator, 1.0)
+        got = _charfun_on_scaled_lattice(w, n)
+        assert np.array_equal(got.view(np.uint64), charfun_with_chirp_table(w, n).view(np.uint64))
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            np.r_[3:20],  # left of the origin
+            np.r_[10:32],  # left of it, the last node at j = -1
+            np.r_[32:60],  # from the origin rightwards
+            np.r_[45:64],  # right of it: the twist and the lags below 0 reach past the lags >= 0
+            np.r_[20:50],  # across it
+            np.r_[0:64],  # the whole grid
+            np.r_[37],  # a single node right of the origin
+            np.r_[12],  # a single node left of it
+            np.r_[32],  # a single node at it
+        ],
+    )
+    def test_every_support_matches_the_chirp_table_bits(self, rows, n):
+        spec = GridSpec(dim=1, extent=8.0, points_per_axis=64)
+        values = np.zeros(spec.shape)
+        values[rows] = np.random.default_rng(rows[0] + 100 * n).uniform(0.5, 1.5, rows.size)
+        values[rows[1:-1:3]] = 0.0  # zeros inside the support too
+        w = GridFunction(spec=spec, values=values / (values.sum() * spec.cell_volume))
+        got = _charfun_on_scaled_lattice(w, n)
+        assert np.array_equal(got.view(np.uint64), charfun_with_chirp_table(w, n).view(np.uint64))
+
+    def test_heavy_tail_density_allocates_two_fft_buffers(self):
+        # two complex buffers of 393,216 points and the 131,073-point twist are
+        # 14.7 MB; the chirp table and an array per FFT took 23 MB
+        spec, evaluator = clt._summand("infinite_variance")[:2]
+        w = grids.sample_with_mass(spec, evaluator, 1.0)
+        tracemalloc.start()
+        try:
+            rescaled_density(w, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6
 
     @pytest.mark.parametrize("n", [3, 16])
     def test_one_axis_matches_scipy_czt(self, n):

@@ -220,6 +220,17 @@ class TestConvolve:
         window = ConvolutionPlan(f).window(g.values, g.values.sum(), np.abs(g.values).sum())
         np.testing.assert_array_equal(window, convolve(f, g).values)
 
+    def test_four_step_twiddles_shared_per_length(self):
+        spec = GridSpec(dim=1, extent=6.0, points_per_axis=2**14)
+        f = sample(spec, families.gaussian_density())
+        g = GridFunction(spec=spec, values=np.random.default_rng(0).standard_normal(spec.shape))
+        grids._four_step_twiddles.cache_clear()
+        built = convolve(f, g).values
+        first, second = ConvolutionPlan(f), ConvolutionPlan(g)
+        assert all(a is b for a, b in zip(first._twiddles, second._twiddles))
+        assert not any(table.flags.writeable for table in first._twiddles)
+        assert np.array_equal(convolve(f, g).values.view(np.uint64), built.view(np.uint64))
+
     @pytest.mark.parametrize("dim, n", [(1, 2**14), (2, 32), (3, 16)])
     def test_result_owns_its_values(self, dim, n):
         # not a view that keeps the whole (3N/2)^d padded product alive
