@@ -11,9 +11,9 @@ must have the flag's type, and null means the key is absent.  Exit
 codes: 0 success or verdict solution, 2 inequality violation, 1 usage
 or numeric error (with a single-line {"error": ...} on stdout).  The
 report is strict JSON: a non-finite number in it is such an error.  A
-run that exits 1 writes no report and no artifact: runners only compute,
-and main writes their files once the report has encoded.  The out-dir
-is created before any work, so an unusable one fails first.
+run that exits 1 writes no report and no artifact: runners only compute;
+main writes their files once the report encodes and unlinks them if one
+fails.  An unusable out-dir fails first: it is created before any work.
 """
 
 from __future__ import annotations
@@ -345,7 +345,7 @@ def main(argv=None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         run, _ = _COMMANDS[args.command]
         # The run's filters decide, so "error" still raises.  The context is process-wide
-        # before Python 3.14; the one other thread, clt's Monte Carlo worker, warns of nothing.
+        # before Python 3.14; the only other threads, clt's Monte Carlo workers, warn of nothing.
         with warnings.catch_warnings(record=True) as caught:
             results, code, writers = run(cfg)
         report = {
@@ -358,9 +358,17 @@ def main(argv=None) -> int:
         stamp = time.strftime("%Y-%m-%dT%H:%M:%S%z")
         doc = {"report": report, "diagnostics": {"warnings": warned}, "timestamp": stamp}
         text = json.dumps(doc, indent=2, allow_nan=False)
-        for name, write in writers.items():
-            write(out_dir / name)
-        (out_dir / f"{args.command}_report.json").write_text(text + "\n")
+        writers[f"{args.command}_report.json"] = lambda path: path.write_text(text + "\n")
+        written = []  # this run's files, the last one perhaps partial
+        try:
+            for name, write in writers.items():
+                written.append(out_dir / name)
+                write(written[-1])
+        except BaseException:
+            for path in written:
+                if path.is_file():  # not a directory in a file's place
+                    path.unlink()
+            raise
         print(text)
         return code
     except CliError as exc:

@@ -18,15 +18,14 @@ would fake a finite variance).
 
 run_experiments lists the Monte Carlo sums as chunks of _MC_CHUNK // n rows
 of n draws, each drawn from its n's stream of the recorded seed advanced to
-its first row.  With more than one usable core a worker thread draws chunks
-beside the grid densities (numpy code that releases the GIL), and the
-calling thread drains the rest after them; on one core it draws them all
-after.  Hit counts are integers, so no result depends on who drew what.
+its first row.  On c > 1 usable cores, min(c, chunks) - 1 workers (a
+grids.WorkShare) draw chunks beside the grid densities (numpy releases the
+GIL), the calling thread the rest after them, or all of them on one core.
+Hit counts are integers, so no result depends on who drew what.
 """
 
 from __future__ import annotations
 
-import collections
 import math
 import threading
 from dataclasses import dataclass
@@ -35,7 +34,7 @@ import numpy as np
 
 from .families import heavy_tail_density, heavy_tail_sampler
 from .grids import GridFunction, GridSpec, check_count, check_number, check_real, integrate
-from .grids import sample_with_mass, usable_cores, warn
+from .grids import WorkShare, sample_with_mass, warn
 
 DENSITY_CLAMP = 1e-8
 MASS_WARN = 0.02
@@ -217,7 +216,7 @@ def _ball_reads(density: GridFunction, nodes: np.ndarray, radii, phi=True) -> li
 
 
 class _MonteCarlo:
-    """The Monte Carlo chunks of one run, for any number of threads to drain.
+    """The Monte Carlo chunks of one run, n by n, and the draw of each.
 
     Each n draws from its own stream spawned from seed, in chunks of
     max(1, _MC_CHUNK // n) rows of n scalars (one row in blocks of _MC_CHUNK
@@ -226,55 +225,36 @@ class _MonteCarlo:
     uniform do.  Hit counts are integers, so chunk order cannot change them.
     """
 
-    def __init__(self, sampler, radii, n_list, mc_samples, seed, stop: threading.Event):
-        self.sampler, self.radii, self.samples, self.stop = sampler, radii, mc_samples, stop
+    def __init__(self, sampler, radii, n_list, mc_samples, seed):
+        self.sampler, self.radii, self.n_list, self.samples = sampler, radii, n_list, mc_samples
         self.streams = np.random.SeedSequence(seed).spawn(len(n_list))
-        self.chunks = collections.deque()  # (index of n, n, first row, rows), under lock
-        for i, n in enumerate(n_list):
-            step = max(1, _MC_CHUNK // n)
-            starts = range(0, mc_samples, step)
-            self.chunks.extend((i, n, first, min(step, mc_samples - first)) for first in starts)
-        self.hits = [[0] * len(radii) for _ in n_list]  # under lock
-        self.lock = threading.Lock()
-        self.error: BaseException | None = None  # what a worker's drain raised
+        self.chunks = [  # (index of n, n, first row, rows)
+            (i, n, first, min(step, mc_samples - first))
+            for i, n in enumerate(n_list)
+            for step in [max(1, _MC_CHUNK // n)]
+            for first in range(0, mc_samples, step)
+        ]
 
-    def draw(self, i, n, first, rows):
+    def draw(self, chunk, stop: threading.Event):
         """Hit counts per radius of one chunk; None if stop is set before a block."""
+        i, n, first, rows = chunk
         bits = np.random.PCG64(self.streams[i])
         bits.advance(first * n)
         rng = np.random.Generator(bits)
         sums = 0.0
         for block in range(0, n, _MC_CHUNK):  # more than one only when rows == 1
-            if self.stop.is_set():
+            if stop.is_set():
                 return None
             sums += self.sampler(rng, (rows, min(_MC_CHUNK, n - block))).sum(axis=1)
         sums = np.abs(sums) * (1.0 / math.sqrt(n))  # a division rounds differently at |S| = R
         return [int(np.count_nonzero(sums <= r)) for r in self.radii]
 
-    def drain(self) -> bool:
-        """Draw chunks until none is left; False if stopped."""
-        while True:
-            with self.lock:
-                if not self.chunks:
-                    return True
-                i, n, first, rows = self.chunks.popleft()
-            counts = self.draw(i, n, first, rows)
-            if counts is None:
-                return False
-            with self.lock:
-                self.hits[i] = [h + c for h, c in zip(self.hits[i], counts)]
-
-    def work(self) -> None:
-        """drain() for a worker thread: an error sets stop and is kept for the caller to raise."""
-        try:
-            self.drain()
-        except BaseException as exc:  # noqa: BLE001  (raised on the calling thread)
-            self.error = exc
-            self.stop.set()
-
-    def result(self):
-        """Ball masses and standard errors, one list per radius."""
-        p = [[h / self.samples for h in hits] for hits in zip(*self.hits)]
+    def result(self, counts):
+        """Ball masses and standard errors, one list per radius, from every chunk's counts."""
+        hits = [[0] * len(self.radii) for _ in self.n_list]
+        for (i, *_), drawn in zip(self.chunks, counts):
+            hits[i] = [h + c for h, c in zip(hits[i], drawn)]
+        p = [[h / self.samples for h in row] for row in zip(*hits)]
         return p, [[math.sqrt(v * (1.0 - v) / self.samples) for v in row] for row in p]
 
 
@@ -283,8 +263,9 @@ def _monte_carlo(sampler, radii, n_list, mc_samples, seed, stop: threading.Event
 
     The sequential reference: every chunk drawn in order on the calling thread.
     """
-    draws = _MonteCarlo(sampler, radii, n_list, mc_samples, seed, stop)
-    return draws.result() if draws.drain() else None
+    draws = _MonteCarlo(sampler, radii, n_list, mc_samples, seed)
+    counts = [draws.draw(chunk, stop) for chunk in draws.chunks]
+    return None if stop.is_set() else draws.result(counts)
 
 
 def _summand(w_kind: str):
@@ -326,11 +307,14 @@ def run_experiments(
     in radii order, duplicates included.  Radii must be finite and > 0,
     and n_list strictly increasing integers >= 1; neither may be empty.
 
-    With more than one usable core a worker thread starts on the Monte Carlo
-    chunks before the first density, and the calling thread draws what is
-    left after its last one.  A sampler draws one double per value (see
-    _MonteCarlo).  An error in either half stops the other before its next
-    block, and no thread outlives the call.
+    The Monte Carlo chunks are a grids.WorkShare entered before the summand
+    is sampled: on c > 1 usable cores, min(c, chunks) - 1 worker threads draw
+    them beside the densities, and the calling thread draws what is left
+    after its last one.  On one core it draws every chunk after them: two
+    halves taking turns on one core of a 2-core host ran 5 to 8 percent
+    slower than one after the other.  A sampler draws one double per value
+    (see _MonteCarlo).  An error in either half stops the other before its
+    next block, and no thread outlives the call.
     """
     radii, n_list = tuple(radii), tuple(n_list)
     if not radii:
@@ -348,14 +332,9 @@ def run_experiments(
 
     p_values: list[list[float]] = [[] for _ in radii]
     phi_values = []
-    stop = threading.Event()
-    draws = _MonteCarlo(sampler, radii, n_list, mc_samples, seed, stop)
-    worker = threading.Thread(target=draws.work, name="clt-monte-carlo")
-    # On one core the halves would only take turns: pinned to one core of
-    # a 2-core host, that ran 5 to 8 percent slower than one after the other.
-    if draws.chunks and usable_cores() > 1:
-        worker.start()
-    try:
+    draws = _MonteCarlo(sampler, radii, n_list, mc_samples, seed)
+    share = WorkShare(lambda chunk: draws.draw(chunk, share.stop), draws.chunks)
+    with share:  # workers draw chunks while this thread computes the densities
         density = sample_with_mass(spec, evaluator, 1.0)
         nodes = spec.radii()  # every rescaled density lives on the summand's grid
         for n in n_list:
@@ -363,18 +342,10 @@ def run_experiments(
             for values, mass in zip(p_values, masses):
                 values.append(mass)
             phi_values.append(phi)
-        draws.drain()  # what the worker has not reached, or every chunk on one core
-    except BaseException:
-        stop.set()  # the worker ends before its next block
-        raise
-    finally:
-        if worker.is_alive():
-            worker.join()
-    if draws.error is not None:
-        raise draws.error
+        counts = list(share)  # this thread draws what the workers have not reached
     mc_values = mc_stderr = [()] * len(radii)
     if mc_samples > 0:
-        mc_values, mc_stderr = draws.result()
+        mc_values, mc_stderr = draws.result(counts)
 
     return tuple(
         CltResult(

@@ -405,6 +405,63 @@ def usable_cores() -> int:
         return os.cpu_count() or 1
 
 
+class WorkShare:
+    """work(item) for every item, shared by min(usable_cores(), len(items)) threads.
+
+    The calling thread is one of them, so one core or at most one item starts
+    no worker.  Workers start on entering the with block and take the next
+    item until none is left.  Iterating yields the values in item order, and
+    while the next one is pending the calling thread takes items itself.  At
+    most ahead items (default: all) are taken and not yet collected.  An
+    item's error sets stop, so no thread takes another item, and is raised at
+    that item's turn.  Leaving the block sets stop too and joins every
+    worker, so no thread outlives it; work that runs long may check stop.
+    """
+
+    def __init__(self, work: Callable, items, ahead: int | None = None):
+        self.work, self.items = work, list(items)
+        self.stop = threading.Event()
+        self._next = iter(range(len(self.items)))  # one next() per take: no item is taken twice
+        self._slots = threading.Semaphore(ahead or len(self.items))  # taken, not yet collected
+        self._done = [threading.Event() for _ in self.items]
+        self._values, self._errors = {}, {}
+        workers = range(1, min(usable_cores(), len(self.items)))
+        self._workers = [threading.Thread(target=self._take, args=(self.stop,)) for _ in workers]
+
+    def _take(self, until: threading.Event, wait: bool = True) -> None:
+        """Run the next items until until or stop is set or none is left (or, unless wait, free)."""
+        while not until.is_set() and self._slots.acquire(wait) and not self.stop.is_set():
+            i = next(self._next, None)
+            if i is None:
+                return
+            try:
+                self._values[i] = self.work(self.items[i])
+            except BaseException as exc:  # noqa: BLE001  (raised on the calling thread)
+                self._errors[i] = exc
+                self.stop.set()
+            self._done[i].set()
+
+    def __enter__(self) -> WorkShare:
+        for worker in self._workers:
+            worker.start()
+        return self
+
+    def __iter__(self):
+        for i, done in enumerate(self._done):
+            self._take(done, wait=False)  # this thread's share, while item i is pending
+            done.wait()  # items are taken in order, so item i has been
+            if i in self._errors:
+                raise self._errors[i]
+            yield self._values.pop(i)
+            self._slots.release()
+
+    def __exit__(self, *exc_info) -> None:
+        self.stop.set()
+        self._slots.release(len(self._workers) + 1)  # wakes every waiting worker; n >= 1
+        for worker in self._workers:
+            worker.join()
+
+
 def warn(message: str) -> None:
     """warnings.warn(message), attributed to the first caller outside autoconv.
 
@@ -435,47 +492,6 @@ def _format_block(cols: list, axes: list, bounds: tuple[int, int]) -> bytes:
     return text[mask].tobytes()
 
 
-def _write_blocks(fh, cols: list, axes: list, bounds: list, threads: int) -> None:
-    """Write the blocks at bounds to fh in row order, formatting them on threads threads.
-
-    At most 2 threads blocks are taken and not yet written.  An error stops the
-    workers before their next block and is raised when its block's turn comes.
-    """
-    taken, stop = iter(range(len(bounds))), threading.Event()
-    slots = threading.Semaphore(2 * threads)  # blocks taken and not yet written
-    blocks, formatted = {}, [threading.Event() for _ in bounds]
-
-    def format_blocks(until: threading.Event, wait: bool) -> None:
-        while not until.is_set() and slots.acquire(wait) and not stop.is_set():
-            i = next(taken, None)  # one call: no two threads take the same block
-            if i is None:
-                return
-            try:
-                blocks[i] = _format_block(cols, axes, bounds[i])
-            except BaseException as exc:  # noqa: BLE001  (raised on the calling thread)
-                blocks[i] = exc
-                stop.set()
-            formatted[i].set()
-
-    workers = [threading.Thread(target=format_blocks, args=(stop, True)) for _ in range(1, threads)]
-    for worker in workers:
-        worker.start()
-    try:
-        for i, done in enumerate(formatted):
-            format_blocks(done, wait=False)  # this thread's share, while block i is pending
-            done.wait()
-            block = blocks.pop(i)
-            if isinstance(block, BaseException):
-                raise block
-            fh.write(block)
-            slots.release()
-    finally:
-        stop.set()
-        slots.release(len(workers) + 1)  # wakes every worker waiting for a slot
-        for worker in workers:
-            worker.join()
-
-
 def write_csv(path, header, columns, spec: GridSpec | None = None) -> None:
     """Write a header line and one row per entry of equal-length columns.
 
@@ -487,9 +503,9 @@ def write_csv(path, header, columns, spec: GridSpec | None = None) -> None:
     value per node; each axis node is formatted once and rows pick theirs
     by index.  numpy array operations give float and integer cells the
     bytes of %.17g and %d (autoconv.csvcells).  The file is UTF-8.  Blocks of
-    CSV_CHUNK_ROWS rows are formatted on min(usable_cores(), blocks) threads,
-    this one included, so one core or one block starts none.  The bytes do
-    not depend on the count, and no thread outlives the call.
+    CSV_CHUNK_ROWS rows are formatted by a WorkShare, at most twice as many
+    blocks as usable cores waiting to be written.  The bytes do not depend
+    on the thread count, and no thread outlives the call.
     """
     cols = [np.asarray(c).ravel() for c in columns]
     rows = cols[0].size if cols else 0
@@ -506,8 +522,11 @@ def write_csv(path, header, columns, spec: GridSpec | None = None) -> None:
         raise ValueError(f"header names {len(header)} columns, the rows hold {width}")
     bounds = [(s, min(s + CSV_CHUNK_ROWS, rows)) for s in range(0, rows, CSV_CHUNK_ROWS)]
     with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode())
-        _write_blocks(fh, cols, axes, bounds, min(usable_cores(), len(bounds)))
+        fh.write((",".join(header) + "\n").encode())  # before any worker starts
+        blocks = WorkShare(lambda b: _format_block(cols, axes, b), bounds, 2 * usable_cores())
+        with blocks:
+            for block in blocks:
+                fh.write(block)
 
 
 def to_csv(g: GridFunction, path) -> None:

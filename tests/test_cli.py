@@ -575,6 +575,34 @@ def test_construct_failing_spectral_route_writes_no_series_csv(tmp_path, capsys,
     assert not list(out_dir.iterdir())
 
 
+def test_writer_failure_unlinks_the_tables_already_written(tmp_path, capsys):
+    # construct writes construct_series.csv, then fails to open a directory in
+    # construct_spectral.csv's place, which it leaves alone
+    out_dir = tmp_path / "out"
+    (out_dir / "construct_spectral.csv").mkdir(parents=True)
+    argv = ["construct", "--residual", "gaussian", "--L", "40", "--N", "1024"]
+    assert main([*argv, "--out-dir", str(out_dir)]) == 1
+    assert "IsADirectoryError" in strict_loads(capsys.readouterr().out)["error"]
+    assert [path.name for path in out_dir.iterdir()] == ["construct_spectral.csv"]
+    assert not list((out_dir / "construct_spectral.csv").iterdir())
+
+
+def test_block_error_unlinks_the_partial_table(tmp_path, capsys, monkeypatch):
+    # 100,000 rows are 7 blocks; the third fails after the first two reach the file
+    real = grids._format_block
+
+    def failing(cols, axes, bounds):
+        if bounds[0] == 2 * grids.CSV_CHUNK_ROWS:
+            raise ArithmeticError("block 3 failed")
+        return real(cols, axes, bounds)
+
+    monkeypatch.setattr(grids, "_format_block", failing)
+    out_dir = tmp_path / "out"
+    assert main(["coeffs", "--n", "100000", "--out-dir", str(out_dir)]) == 1
+    assert "block 3 failed" in strict_loads(capsys.readouterr().out)["error"]
+    assert not list(out_dir.iterdir())
+
+
 @pytest.mark.parametrize(
     "table,name,argv",
     [

@@ -512,12 +512,11 @@ class TestRunExperiments:
     @pytest.mark.parametrize("mc_chunk", [37, 5])
     def test_chunk_order_leaves_monte_carlo_unchanged(self, monkeypatch, mc_chunk):
         monkeypatch.setattr(clt, "_MC_CHUNK", mc_chunk)
-        draws = (heavy_tail_sampler, (0.5, 2.0), (4, 16), 1_001, 4, threading.Event())
-        backwards = clt._MonteCarlo(*draws)
-        backwards.chunks.reverse()
-        assert backwards.chunks[0] == (1, 16, 1_000, 1)  # the last row of n = 16
-        assert backwards.drain() and not backwards.chunks
-        assert backwards.result() == clt._monte_carlo(*draws)
+        draws, stop = (heavy_tail_sampler, (0.5, 2.0), (4, 16), 1_001, 4), threading.Event()
+        chunks = clt._MonteCarlo(*draws)
+        assert chunks.chunks[-1] == (1, 16, 1_000, 1)  # the last row of n = 16, drawn first
+        backwards = [chunks.draw(chunk, stop) for chunk in reversed(chunks.chunks)]
+        assert chunks.result(backwards[::-1]) == clt._monte_carlo(*draws, stop)
 
     @pytest.mark.parametrize("radii", [(), (-1.0,), (0.0,), (1.0, math.nan), (math.inf,)])
     def test_radii_must_be_finite_and_positive(self, radii):
@@ -552,11 +551,11 @@ class TestOverlap:
         worker_drew = threading.Event()
         real = clt._MonteCarlo.draw
 
-        def spy(self, i, n, first, rows):
-            drawn.append(((n, first, rows), threading.current_thread()))
+        def spy(self, chunk, stop):
+            drawn.append((chunk[1:], threading.current_thread()))
             if threading.current_thread() is not threading.main_thread():
                 worker_drew.set()
-            return real(self, i, n, first, rows)
+            return real(self, chunk, stop)
 
         density = clt.rescaled_density
 
@@ -627,28 +626,38 @@ class TestOverlap:
         assert [r.mc_stderr for r in results] == [tuple(e) for e in errors]
 
     def test_concurrent_drains_lose_no_count(self, monkeypatch):
-        monkeypatch.setattr(clt, "_MC_CHUNK", 5)  # 301 one-row chunks per n, n = 16 in 4 blocks
-        draws = (heavy_tail_sampler, (0.5, 2.0), (4, 16), 301, 8, threading.Event())
-        shared = clt._MonteCarlo(*draws)
-        threads = [threading.Thread(target=shared.drain) for _ in range(4)]
+        # 8 threads share 602 one-row chunks, n = 16 in 4 blocks: a chunk lost or
+        # drawn twice changes a count
+        set_cores(monkeypatch, 8)
+        monkeypatch.setattr(clt, "_MC_CHUNK", 5)
+        monkeypatch.setattr(clt, "rescaled_density", lambda w, n: w)
+        threads, worker_drew, real = set(), threading.Event(), clt._MonteCarlo.draw
+
+        def spy(self, chunk, stop):
+            # the calling thread draws only once a worker has
+            if threading.current_thread() is threading.main_thread():
+                assert worker_drew.wait(timeout=60)
+            else:
+                worker_drew.set()
+            threads.add(threading.current_thread())
+            return real(self, chunk, stop)
+
+        monkeypatch.setattr(clt._MonteCarlo, "draw", spy)
+        n_list, radii, mc_samples, seed = (4, 16), (0.5, 2.0), 301, 8
+        before = threading.active_count()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
+            results = run_experiments("infinite_variance", radii, n_list, mc_samples, seed)
         finally:
             sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert shared.result() == clt._monte_carlo(*draws)
-
-    def test_cpu_count_without_affinity_call(self, monkeypatch):
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert grids.usable_cores() == 1
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        assert grids.usable_cores() == 4
+        assert threading.active_count() == before
+        assert len(threads) > 1
+        values, errors = clt._monte_carlo(
+            heavy_tail_sampler, radii, n_list, mc_samples, seed, threading.Event()
+        )
+        assert [r.mc_values for r in results] == [tuple(v) for v in values]
+        assert [r.mc_stderr for r in results] == [tuple(e) for e in errors]
 
     def test_grid_error_stops_and_joins_the_worker(self, monkeypatch, heavy):
         set_cores(monkeypatch, 2)

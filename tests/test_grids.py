@@ -821,3 +821,133 @@ class TestParallelWriteCsv:
         write_csv(tmp_path / "new.csv", header, cols)
         write_rows_per_cell(tmp_path / "old.csv", header, zip(*(c.tolist() for c in cols)))
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+class TestWorkShare:
+    """work(item) on min(usable_cores(), len(items)) threads, the calling one included."""
+
+    def test_values_come_in_item_order(self, monkeypatch):
+        # later items finish sooner, so threads finish out of item order
+        set_cores(monkeypatch, 4)
+
+        def work(item):
+            time.sleep(0.001 * (20 - item))
+            return item * item
+
+        with grids.WorkShare(work, range(20)) as share:
+            assert list(share) == [i * i for i in range(20)]
+
+    def test_no_item_is_taken_twice(self, monkeypatch):
+        # 8 threads on at most a few cores, switching often; the calling thread
+        # takes items only once a worker has
+        set_cores(monkeypatch, 8)
+        taken, threads, worker_took = [], set(), threading.Event()
+
+        def work(item):
+            if threading.current_thread() is threading.main_thread():
+                assert worker_took.wait(timeout=60)
+            else:
+                worker_took.set()
+            taken.append(item)
+            threads.add(threading.current_thread())
+            return -item
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                taken.clear()
+                worker_took.clear()
+                with grids.WorkShare(work, range(2000)) as share:
+                    assert list(share) == [-i for i in range(2000)]
+                assert sorted(taken) == list(range(2000))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(threads) > 1
+
+    @pytest.mark.parametrize("ahead", [1, 3, 8])
+    def test_ahead_bounds_the_items_taken_and_not_collected(self, monkeypatch, ahead):
+        # item 0 holds back until ahead items are taken; then no thread may take another
+        # until the caller has collected one
+        set_cores(monkeypatch, 4)
+        lock, full = threading.Lock(), threading.Event()
+        taken, collected, most = [0], [0], [0]
+
+        def work(item):
+            with lock:
+                taken[0] += 1
+                most[0] = max(most[0], taken[0] - collected[0])
+                if taken[0] == ahead:
+                    full.set()
+            if item == 0:
+                full.wait(timeout=10)
+            return item
+
+        with grids.WorkShare(work, range(30), ahead) as share:
+            for item in share:
+                with lock:
+                    collected[0] += 1
+        assert collected == [30] and most == [ahead]
+
+    def test_an_items_error_is_raised_at_its_turn_after_every_worker_ends(self, monkeypatch):
+        # item 5 fails while another thread is inside item 6, which ends 0.1 s later
+        set_cores(monkeypatch, 4)
+        entered, failed, finished = threading.Event(), threading.Event(), []
+
+        def work(item):
+            if item == 5:
+                entered.wait(timeout=10)
+                failed.set()
+                raise ArithmeticError("item 5 failed")
+            if item == 6:
+                entered.set()
+                failed.wait(timeout=10)
+                time.sleep(0.1)
+                finished.append(item)
+            return item
+
+        before, collected = threading.active_count(), []
+        with pytest.raises(ArithmeticError, match="item 5 failed"):
+            with grids.WorkShare(work, range(100)) as share:
+                for item in share:
+                    collected.append(item)
+        assert collected == [0, 1, 2, 3, 4]
+        assert finished == [6] and threading.active_count() == before
+
+    @pytest.mark.parametrize("ahead", [None, 2])
+    def test_an_error_in_the_block_stops_and_joins_the_workers(self, monkeypatch, ahead):
+        # with ahead = 2 the worker waits for a slot when the caller fails
+        set_cores(monkeypatch, 2)
+        started, taken = threading.Event(), []
+
+        def work(item):
+            taken.append(item)
+            started.set()
+            time.sleep(0.01)
+            return item
+
+        before = threading.active_count()
+        with pytest.raises(KeyError, match="caller failed"):
+            with grids.WorkShare(work, range(1000), ahead):
+                assert started.wait(timeout=10)
+                raise KeyError("caller failed")
+        assert threading.active_count() == before
+        assert 1 <= len(taken) < 1000
+
+    @pytest.mark.parametrize("cores,items,workers", [(4, 0, 0), (4, 1, 0), (1, 30, 0), (3, 30, 2)])
+    def test_workers_are_one_fewer_than_the_cores_or_the_items(
+        self, monkeypatch, cores, items, workers
+    ):
+        set_cores(monkeypatch, cores)
+        started, start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or start(self))
+        with grids.WorkShare(lambda item: -item, range(items)) as share:
+            assert list(share) == [-i for i in range(items)]
+        assert len(started) == workers
+
+    def test_cpu_count_without_affinity_call(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert grids.usable_cores() == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert grids.usable_cores() == 4
