@@ -6,11 +6,12 @@ characteristic-function power method: evaluate the transform of w at its
 own grid's frequencies scaled by 1/sqrt(n) (one chirp-z transform per n,
 over the nodes from the first nonzero one to the last), raise to the n-th
 power, invert on the same grid.  As w is real, only the half m >= 0 is
-computed, powered and inverted (irfft).  The transform holds two complex
-buffers of its FFT length and one of N/2 + 1 points, its FFTs running in
-place (numpy >= 2.0).  On 2 cores (numpy 2.4.6) a density on the CLI's
-2^18-point grid takes 31-60 ms per n for the uniform summand, nonzero on
-11 % of it, and 61-99 ms for the heavy tail.  With
+computed, powered and inverted (irfft).  The transform evaluates one chirp
+table into its spectrum buffer, copies its kernel and twist out of it, and
+holds two complex buffers of its FFT length and one of N/2 + 1 points, its
+FFTs running in place (numpy >= 2.0).  On 2 cores (numpy 2.4.6) a density
+on the CLI's 2^18-point grid takes 29-42 ms per n for the uniform summand,
+nonzero on 11 % of it, and 54-83 ms for the heavy tail.  With
 finite variance the mass in a fixed ball tends to the Gaussian ball mass;
 with infinite variance it drains to zero, which a mandatory Monte Carlo
 cross-check confirms independently of the grid (window truncation alone
@@ -70,22 +71,6 @@ def _fft_length(target: int) -> int:
     return 3 * power // 4 if 3 * power // 4 >= target else power
 
 
-def _chirp(out: np.ndarray, first: int, step: int, scale: float) -> None:
-    """out[k] = exp(i scale t^2) at t = first + k step, evaluated in place.
-
-    The argument has real part 0.0 and imaginary part scale t^2, the bits
-    of 1j * scale * t**2; each value depends on its t alone, so a chirp
-    evaluated in segments equals one evaluated whole.
-    """
-    if out.size:
-        t = np.arange(first, first + step * out.size, step, dtype=float)
-        np.square(t, out=t)
-        t *= scale
-        out.real = 0.0
-        out.imag = t
-        np.exp(out, out=out)
-
-
 def _charfun_on_scaled_lattice(w: GridFunction, n: int) -> np.ndarray:
     """h sum_j w_j exp(-i 2 pi (k_m/sqrt(n)) x_j) for m = 0..N/2.
 
@@ -98,12 +83,13 @@ def _charfun_on_scaled_lattice(w: GridFunction, n: int) -> np.ndarray:
     summand is real, so X(-m) = conj(X(m)) and only m >= 0 is computed;
     m = N/2 lies one past the grid's top frequency.
 
-    Two complex buffers of the FFT length and the half-length twist
-    conj(chirp_m) are all it holds.  The chirp is evaluated straight into
-    the kernel at the lags m - j >= 0, the lags below 0 mirror them, and
-    the twist is copied out of them; only a |t| that no nonnegative lag
-    reaches is evaluated apart.  The signal is built in the zeroed
-    spectrum buffer, and the three FFTs run in place (numpy >= 2.0).
+    The chirp is even in t, so one table of chirp_t, t = 0 up to the largest
+    |m - j| or m, is evaluated with one np.exp, in the spectrum buffer; the
+    kernel and the twist conj(chirp_m) are copied out of it.  Two complex
+    buffers of the FFT length (the spectrum's as long as the table if that
+    is longer) and the half-length twist are all it holds.  The signal is
+    built in the zeroed spectrum buffer, and the three FFTs run in place
+    (numpy >= 2.0).
     """
     spec = w.spec
     points = spec.points_per_axis
@@ -115,22 +101,20 @@ def _charfun_on_scaled_lattice(w: GridFunction, n: int) -> np.ndarray:
     support, offset = stop - start, start - points // 2
     size = _fft_length(support + count - 1)
     lo, hi = 1 - offset - support, count - offset  # every m - j lies in [lo, hi)
-    first = max(lo, 0)  # the smallest lag >= 0, at kernel index negative
-    negative = first - lo  # the lags below 0, chirp_|m - j| at index m - j - lo
+    negative = max(-lo, 0)  # the lags below 0, chirp_|m - j| at index m - j - lo
+    # a support left of the origin reads lags up to hi > size; -lo < count always
+    buffer = np.empty(max(size, hi), dtype=complex)
+    chirp = buffer[: max(hi, count)]
+    chirp.real = 0.0  # the argument's bits are those of 1j * scale * t**2
+    chirp.imag = np.square(np.arange(chirp.size, dtype=float)) * scale
+    np.exp(chirp, out=chirp)
     kernel = np.zeros(size, dtype=complex)
-    _chirp(kernel[negative : hi - lo], first, 1, scale)
-    mirrored = min(negative, hi - 1)  # |t| = 1..mirrored are lags >= 0 too
-    kernel[negative - mirrored : negative] = kernel[negative + mirrored : negative : -1]
-    _chirp(kernel[: negative - mirrored], negative, -1, scale)
-    # conj(chirp_m), m < count: lags >= 0 hold [first, hi); the rest is evaluated
-    held = min(hi, count)
-    twist = np.empty(count, dtype=complex)
-    _chirp(twist[:first], 0, 1, scale)
-    twist[first:held] = kernel[negative : negative + held - first]
-    _chirp(twist[held:], held, 1, scale)
-    np.conjugate(twist, out=twist)
+    kernel[:negative] = chirp[negative:0:-1]
+    kernel[negative : hi - lo] = chirp[max(lo, 0) : hi]
+    twist = np.conjugate(chirp[:count])
     # m = 0 puts chirp_|j| at index -j - lo, so the support reads the head reversed
-    spectrum = np.zeros(size, dtype=complex)
+    spectrum = buffer[:size]
+    spectrum[support:] = 0.0
     signal = spectrum[:support]
     np.conjugate(kernel[support - 1 :: -1], out=signal)
     np.multiply(w.values[start:stop], signal, out=signal)

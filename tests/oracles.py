@@ -32,16 +32,18 @@ def _fft_length(target):
 
 
 def charfun_with_chirp_table(w, n):
-    """The chirp-z transform clt._charfun_on_scaled_lattice replaced, kept as an oracle.
+    """clt._charfun_on_scaled_lattice with a fresh array per step, kept as an oracle.
 
-    The same lags, FFT lengths and products, from one table of the chirp
-    exp(i pi a t^2) at t = 0 up to the largest index read, with a fresh
-    array for every intermediate and every FFT.  The CLI's clt.csv bytes
-    were written by this formulation.  Its final product was written
-    product * conj(chirp[:count]); from 256 KiB up (2^15 grid points, the
-    CLI's 2^18 included) numpy elides the conj temporary and multiplies in
-    place on it, twist first, and a complex product rounds differently with
-    its operands swapped.  That order is written out here for every size.
+    The same chirp table exp(i pi a t^2) at t = 0 up to the largest index
+    read, lags, FFT lengths and products; what it does differently is to
+    allocate a fresh array for every intermediate and every FFT, where the
+    library evaluates the table into its spectrum buffer and transforms in
+    place.  The CLI's clt.csv bytes were written by this formulation.  Its
+    final product was written product * conj(chirp[:count]); from 256 KiB
+    up (2^15 grid points, the CLI's 2^18 included) numpy elides the conj
+    temporary and multiplies in place on it, twist first, and a complex
+    product rounds differently with its operands swapped.  That order is
+    written out here for every size.
     """
     spec = w.spec
     points = spec.points_per_axis

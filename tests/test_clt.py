@@ -216,8 +216,17 @@ class TestRescaledDensity:
         _charfun_on_scaled_lattice(w, 4)
         assert lengths == [length] * 3
 
-    def test_chirp_covers_only_the_indices_read(self, monkeypatch):
-        # the uniform summand spans j = -14,188..14,188: |m - j| < 145,261 for m <= 2^17
+    @pytest.mark.parametrize(
+        "kind, points",
+        [
+            # the uniform summand spans j = -14,188..14,188: |m - j| < 145,261 for m <= 2^17
+            ("finite_variance", 145_261),
+            # the heavy tail's kernel spans 393,216 lags; the negative ones are copied
+            ("infinite_variance", 262_145),
+        ],
+        ids=["finite_variance", "infinite_variance"],
+    )
+    def test_chirp_covers_only_the_indices_read(self, monkeypatch, kind, points):
         lengths = []
         real = np.exp
 
@@ -225,13 +234,13 @@ class TestRescaledDensity:
             lengths.append(np.size(x))
             return real(x, *args, **kwargs)
 
-        spec, evaluator = clt._summand("finite_variance")[:2]
+        spec, evaluator = clt._summand(kind)[:2]
         w = normalized(spec, evaluator)
         monkeypatch.setattr(np, "exp", spy)
         _charfun_on_scaled_lattice(w, 4)
-        assert lengths == [145_261]
+        assert lengths == [points]
 
-    @pytest.mark.parametrize("n", [4, 64])
+    @pytest.mark.parametrize("n", [4, 64, 5, 256])
     @pytest.mark.parametrize("kind", ["finite_variance", "infinite_variance"])
     def test_cli_grid_bits_match_the_chirp_table(self, kind, n):
         # the CLI's clt.csv bytes are pinned to the formulation with one chirp table;
@@ -254,6 +263,8 @@ class TestRescaledDensity:
             np.r_[37],  # a single node right of the origin
             np.r_[12],  # a single node left of it
             np.r_[32],  # a single node at it
+            np.r_[0],  # the first node: the 65-point chirp table outgrows the 48-point FFT
+            np.r_[63],  # the last node
         ],
     )
     def test_every_support_matches_the_chirp_table_bits(self, rows, n):
@@ -265,10 +276,19 @@ class TestRescaledDensity:
         got = _charfun_on_scaled_lattice(w, n)
         assert np.array_equal(got.view(np.uint64), charfun_with_chirp_table(w, n).view(np.uint64))
 
-    def test_heavy_tail_density_allocates_two_fft_buffers(self):
-        # two complex buffers of 393,216 points and the 131,073-point twist are
-        # 14.7 MB; the chirp table and an array per FFT took 23 MB
-        spec, evaluator = clt._summand("infinite_variance")[:2]
+    @pytest.mark.parametrize(
+        "kind, bound",
+        [
+            # two complex buffers of 196,608 points and the 131,073-point twist are 8.4 MB
+            ("finite_variance", 9.5e6),
+            # two of 393,216 points and the twist are 14.7 MB; a separate chirp
+            # table and an array per FFT took 23 MB
+            ("infinite_variance", 16e6),
+        ],
+        ids=["finite_variance", "infinite_variance"],
+    )
+    def test_heavy_tail_density_allocates_two_fft_buffers(self, kind, bound):
+        spec, evaluator = clt._summand(kind)[:2]
         w = grids.sample_with_mass(spec, evaluator, 1.0)
         tracemalloc.start()
         try:
@@ -276,7 +296,7 @@ class TestRescaledDensity:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16e6
+        assert peak <= bound
 
     @pytest.mark.parametrize("n", [3, 16])
     def test_one_axis_matches_scipy_czt(self, n):
