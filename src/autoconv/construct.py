@@ -51,16 +51,15 @@ _BUMP_PROFILES = {
 
 
 @functools.cache
-def _coeff_table() -> CoeffTable:
-    """c_1..c_{TERM_CAP+1}, built on first use and shared by every build.
+def _coeff_table(long: bool = False) -> CoeffTable:
+    """c_1..c_1025, or c_1..c_{TERM_CAP+1} if long; each built on first use and shared.
 
-    Kept whole though a critical build reads ~800 entries: freeing its build
-    temporaries raises glibc's mmap threshold, so the series loop's FFT
-    buffers come from the heap.  Each critical d=1 build after the first
-    (N=16384, four-step transforms) took 0-48 minor faults; with
-    build_coeffs(1000), 25,963-50,894.
+    The short table serves every default target (a critical build reads 796
+    entries).  A target it cannot reach takes the long one: the recurrence
+    runs left to right, so its prefix matches the short table bit for bit,
+    and so do the N and the tail bound read off it.
     """
-    return build_coeffs(TERM_CAP + 1)
+    return build_coeffs(TERM_CAP + 1 if long else 1025)
 
 
 @dataclass(frozen=True)
@@ -158,6 +157,9 @@ def build_series(u: GridFunction, epsilon: float | None = None) -> SeriesBuild:
     table = _coeff_table()
     n_terms = terms_for_tail(table, capped_ratio, 2.0 * epsilon)
     if n_terms is None:
+        table = _coeff_table(long=True)
+        n_terms = terms_for_tail(table, capped_ratio, 2.0 * epsilon)
+    if n_terms is None:
         achieved = 0.5 * tail_bound(table, TERM_CAP, capped_ratio)
         raise ValueError(
             f"epsilon {epsilon:.3e} needs more than {TERM_CAP} terms "
@@ -170,9 +172,11 @@ def build_series(u: GridFunction, epsilon: float | None = None) -> SeriesBuild:
     power = scaled.values
     power_sum = float(power.sum())
     acc = 0.5 * coeffs[0] * power
+    term = np.empty_like(acc)
     clamped = 0.0
     for n in range(2, n_terms + 1):
-        # Powers are nonnegative, so sum|power| is power_sum.
+        # Powers are nonnegative, so sum|power| is power_sum.  raw is the
+        # plan's product, which the next window call overwrites.
         raw = times_scaled.window(power, power_sum, power_sum)
         raw_sum = float(raw.sum())
         # Convolution powers of a nonnegative density are nonnegative;
@@ -187,7 +191,7 @@ def build_series(u: GridFunction, epsilon: float | None = None) -> SeriesBuild:
             )
         clamped += clamp
         power, power_sum = raw, kept_sum
-        acc += 0.5 * coeffs[n - 1] * power
+        acc += np.multiply(power, 0.5 * coeffs[n - 1], out=term)
 
     solution = GridFunction(spec=u.spec, values=acc)
     tl1 = 0.5 * tail_bound(table, n_terms, capped_ratio)

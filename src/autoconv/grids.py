@@ -17,9 +17,12 @@ each further convolution with it costs one forward and one inverse real
 transform: rfftn/irfftn, except on a line from M = FOUR_STEP_MIN up,
 where a four-step split into two batched transforms of ~sqrt(M) points
 runs faster than numpy's scalar transform of M points (1.2-1.35 times at
-M = 12,288-98,304 on one Xeon core, numpy 2.4.6).  The inverse of
-a real-input product is real by construction, and a mass identity on the
-full circular product guards it in place of an imaginary-residue check.
+M = 12,288-98,304 on one Xeon core, numpy 2.4.6).  The plan owns its work
+arrays and runs every call's transforms in them: on the four-step line a
+call allocates no array, and its window is a view into the plan's product
+until the next call.  The inverse of a real-input product is real by
+construction, and a mass identity on the full circular product guards it
+in place of an imaginary-residue check.
 """
 
 from __future__ import annotations
@@ -234,16 +237,25 @@ class ConvolutionPlan:
     the linear one on the kept window [N/2, 3N/2): only full indices
     r <= N/2 - 2 wrap, and they land below it.
 
-    In d >= 2 the pair is rfftn/irfftn, whose last-axis transform is
-    already batched over the other axes.  A line with M >= FOUR_STEP_MIN
-    instead runs the four-step transform (Bailey 1990) on the length-M
-    circle viewed as a (rows, M / rows) array, rows the smallest power of
-    two >= sqrt(M): rfft down the columns, a twiddle exp(-2 pi i k1 j2 / M),
+    In d >= 2 the pair is rfftn and the steps of irfftn, whose last-axis
+    transform is already batched over the other axes.  A line with
+    M >= FOUR_STEP_MIN instead runs the four-step transform (Bailey 1990)
+    on the length-M circle viewed as a (rows, M / rows) array, rows the
+    smallest power of two >= sqrt(M): rfft down the columns, a twiddle exp(-2 pi i k1 j2 / M),
     then fft along the rows, and the reverse with the conjugate twiddle
     (built once per M and shared by every plan of that length).
     Two batched transforms of ~sqrt(M) points run faster than one scalar
     transform of M.  The spectrum comes out permuted, but only the
     pointwise product of two spectra in that same order is inverted.
+
+    The plan allocates its work arrays once: the (M,) * dim product, and on
+    the four-step line the zero-padded (rows, M / rows) input and its
+    (rows / 2 + 1, M / rows) spectrum too.  Every call transforms in place
+    in them, so the window it returns is overwritten by the next call, and
+    a plan serves one thread at a time.  Off the four-step line the forward
+    stays rfftn, which allocates its spectrum (numpy refuses out= where s
+    pads an axis); the inverse runs in place in that spectrum and ends in
+    the product.
 
     Before windowing, h^d times the sum of the full circular product must
     equal h^d sum(kernel) sum(g) within tolerance(sum|g|); a larger gap,
@@ -260,28 +272,45 @@ class ConvolutionPlan:
         self._keep = (slice(n // 2, None),) * spec.dim
         self._cell = spec.cell_volume
         self._twiddles = _four_step_twiddles(m) if spec.dim == 1 and m >= FOUR_STEP_MIN else None
-        self._kernel_hat = self._forward(kernel.values)
+        if self._twiddles is None:
+            self._input = self._spectrum = None
+            self._product = np.empty(self._padded)
+        else:
+            cols = self._twiddles[0].shape[1]
+            rows = m // cols
+            self._input = np.zeros((rows, cols))  # the tail past N stays zero
+            self._spectrum = np.empty((rows // 2 + 1, cols), dtype=np.complex128)
+            self._product = np.empty((rows, cols))
+        hat = self._forward(kernel.values)
+        self._kernel_hat = hat if self._spectrum is None else hat.copy()
         self._kernel_sum = float(kernel.values.sum())
         self._kernel_abs = float(np.abs(kernel.values).sum())
 
     def _forward(self, values: np.ndarray) -> np.ndarray:
-        """Transform of values zero padded to M per axis, in the plan's spectrum order."""
+        """Transform of values zero padded to M per axis, in the plan's spectrum order.
+
+        On the four-step line the result is the plan's spectrum array.
+        """
         if self._twiddles is None:
             return np.fft.rfftn(values, s=self._padded, axes=self._axes)
-        twiddle = self._twiddles[0]
-        padded = np.zeros(self._padded)
-        padded[: values.size] = values
-        spectrum = np.fft.rfft(padded.reshape(-1, twiddle.shape[1]), axis=0)
-        spectrum *= twiddle
-        return np.fft.fft(spectrum, axis=1)
+        self._input.reshape(-1)[: values.size] = values
+        spectrum = np.fft.rfft(self._input, axis=0, out=self._spectrum)
+        spectrum *= self._twiddles[0]
+        return np.fft.fft(spectrum, axis=1, out=spectrum)
 
     def _inverse(self, spectrum: np.ndarray) -> np.ndarray:
-        """The full circular product, shape (M,) * dim, from a spectrum in the plan's order."""
+        """The full circular product, shape (M,) * dim, from a spectrum in the plan's order.
+
+        The result is the plan's product array; the spectrum may be overwritten.
+        """
         if self._twiddles is None:
-            return np.fft.irfftn(spectrum, s=self._padded, axes=self._axes)
-        columns = np.fft.ifft(spectrum, axis=1)
+            for axis in self._axes[:-1]:
+                np.fft.ifft(spectrum, axis=axis, out=spectrum)
+            return np.fft.irfft(spectrum, self._padded[-1], axis=-1, out=self._product)
+        columns = np.fft.ifft(spectrum, axis=1, out=spectrum)
         columns *= self._twiddles[1]
-        return np.fft.irfft(columns, axis=0).reshape(self._padded)  # rows is even
+        # rows is even, so irfft's default length restores it
+        return np.fft.irfft(columns, axis=0, out=self._product).reshape(self._padded)
 
     def tolerance(self, g_abs: float) -> float:
         """The mass guard's ceiling, in window's units (h^d included), for sum|g| = g_abs."""
@@ -292,13 +321,15 @@ class ConvolutionPlan:
 
         values holds one factor on the kernel's grid, with g_sum and g_abs
         its sum and absolute sum; the kernel's own values array reuses the
-        cached transform.  The result is a writable view into a fresh
-        array, scaled by h^d after the mass guard, so callers may clamp it.
+        cached transform.  The result is a writable view into the plan's
+        product array, scaled by h^d after the mass guard, so callers may
+        clamp it.  It stays valid until the next call, which overwrites it
+        (values may be that view), so a plan serves one thread at a time.
         """
         if values.shape != self.kernel.spec.shape:
             raise ValueError("grid specs do not match")
         if values is self.kernel.values:
-            product = self._kernel_hat * self._kernel_hat
+            product = np.multiply(self._kernel_hat, self._kernel_hat, out=self._spectrum)
         else:
             product = self._forward(values)
             # Kernel first: swapped operands round the complex product differently.
@@ -319,7 +350,7 @@ class ConvolutionPlan:
     def __call__(self, g: GridFunction) -> GridFunction:
         if g.spec != self.kernel.spec:
             raise ValueError("grid specs do not match")
-        # A copy: the window is a view into the padded product, 1.5^d times its size.
+        # A copy: the window is a view into the plan's padded product, 1.5^d times its size.
         window = self.window(g.values, g.values.sum(), np.abs(g.values).sum())
         return GridFunction(g.spec, window.copy())
 

@@ -4,9 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
+from autoconv import construct
 from autoconv.analyze import critical_moment_theorem_demo, exp_tail_fit
 from autoconv.coeffs import build_coeffs, tail_bound, terms_for_tail
 from autoconv.construct import (
+    TERM_CAP,
     build_exponential_example,
     build_series,
     build_spectral,
@@ -172,6 +174,26 @@ class TestBuildSeries:
         build = build_series(gaussian_residual(0.25, N=2**10))
         assert build.n_terms == 796
         assert 0.0 <= build.clamped_l1 < 1e-12
+
+    def test_short_coefficient_table_is_the_long_ones_prefix(self):
+        short, long = construct._coeff_table(), construct._coeff_table(long=True)
+        assert (short.n_max, long.n_max) == (1025, TERM_CAP + 1)
+        for a, b in [(short.values, long.values), (short.partial_sums, long.partial_sums)]:
+            assert np.array_equal(a.view(np.uint64), b[: short.n_max].view(np.uint64))
+        # every default target, read off either table, to the same N and the same bits
+        for ratio, n in [(1.0, 796), (0.99, 177), (0.9, 38), (0.75, 15)]:
+            target = 2.0 * default_epsilon(ratio)
+            assert terms_for_tail(short, ratio, target) == terms_for_tail(long, ratio, target) == n
+            assert tail_bound(short, n, ratio) == tail_bound(long, n, ratio)
+        assert terms_for_tail(short, 1.0, 2e-3) is None
+        assert terms_for_tail(long, 1.0, 2e-3) > 1024
+
+    def test_target_past_the_short_table_takes_the_long_one(self):
+        # at critical mass the tail past 1024 terms is about 1 / sqrt(1024 pi) = 0.0176
+        build = build_series(gaussian_residual(0.25), epsilon=0.0085)
+        long, ratio = construct._coeff_table(long=True), min(build.ratio, 1.0)
+        assert build.n_terms == terms_for_tail(long, ratio, 0.017) > 1024
+        assert build.tail_l1 == 0.5 * tail_bound(long, build.n_terms, ratio) <= 0.0085
 
     def test_clamp_beyond_mass_tolerance_raises(self, monkeypatch):
         # Move mass from the last window node to slot 0, below the window:

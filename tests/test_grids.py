@@ -5,6 +5,7 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -216,9 +217,38 @@ class TestConvolve:
     def test_plan_window_is_the_convolution(self, dim, n):
         spec = GridSpec(dim=dim, extent=6.0, points_per_axis=n)
         f = sample(spec, families.gaussian_density())
-        g = GridFunction(spec=spec, values=np.random.default_rng(dim).standard_normal(spec.shape))
-        window = ConvolutionPlan(f).window(g.values, g.values.sum(), np.abs(g.values).sum())
+        rng = np.random.default_rng(dim)
+        g, h = (GridFunction(spec=spec, values=rng.standard_normal(spec.shape)) for _ in range(2))
+        plan = ConvolutionPlan(f)
+        window = plan.window(g.values, g.values.sum(), np.abs(g.values).sum())
         np.testing.assert_array_equal(window, convolve(f, g).values)
+        # a view into the plan's product, which the next call overwrites
+        second = plan.window(h.values, h.values.sum(), np.abs(h.values).sum())
+        assert np.shares_memory(window, second)
+        np.testing.assert_array_equal(window, convolve(f, h).values)
+        # the series loop feeds each window back in as the next factor
+        fed = GridFunction(spec=spec, values=second.copy())
+        third = plan.window(second, second.sum(), np.abs(second).sum())
+        np.testing.assert_array_equal(third, convolve(f, fed).values)
+        mass = f.values.sum()
+        np.testing.assert_array_equal(plan.window(f.values, mass, mass), convolve(f, f).values)
+
+    def test_four_step_window_allocates_no_array(self):
+        spec = GridSpec(dim=1, extent=6.0, points_per_axis=2**14)
+        f = sample(spec, families.gaussian_density())
+        g = np.random.default_rng(0).standard_normal(spec.shape)
+        plan = ConvolutionPlan(f)
+        for values in (g, f.values):
+            sums = values.sum(), np.abs(values).sum()
+            plan.window(values, *sums)  # warm numpy's plan cache
+            tracemalloc.start()
+            try:
+                window = plan.window(values, *sums)
+                grown = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # numpy traces its array buffers; the padded input alone is 1.5 windows
+            assert grown < window.nbytes // 8
 
     def test_four_step_twiddles_shared_per_length(self):
         spec = GridSpec(dim=1, extent=6.0, points_per_axis=2**14)
