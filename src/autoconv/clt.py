@@ -261,7 +261,11 @@ def _summand(w_kind: str):
             return np.where(np.abs(x) <= half, 1.0 / (2.0 * half), 0.0)
 
         def sampler(rng, size):
-            return rng.uniform(-half, half, size)
+            # rng.uniform(-half, half, size) bit for bit, in two vectorized passes over random()
+            v = rng.random(size)
+            v *= 2.0 * half
+            v -= half
+            return v
 
         return FINITE_VARIANCE_GRID, evaluator, sampler, lambda r: math.erf(r / math.sqrt(2.0))
     if w_kind == "infinite_variance":

@@ -18,11 +18,11 @@ transform: rfftn/irfftn, except on a line from M = FOUR_STEP_MIN up,
 where a four-step split into two batched transforms of ~sqrt(M) points
 runs faster than numpy's scalar transform of M points (1.2-1.35 times at
 M = 12,288-98,304 on one Xeon core, numpy 2.4.6).  The plan owns its work
-arrays and runs every call's transforms in them: on the four-step line a
-call allocates no array, and its window is a view into the plan's product
-until the next call.  The inverse of a real-input product is real by
-construction, and a mass identity on the full circular product guards it
-in place of an imaginary-residue check.
+arrays and runs every call's transforms in them, so a call allocates no
+array, and its window is a view into the plan's product until the next
+call.  The inverse of a real-input product is real by construction, and a
+mass identity on the full circular product guards it in place of an
+imaginary-residue check.
 """
 
 from __future__ import annotations
@@ -237,8 +237,10 @@ class ConvolutionPlan:
     the linear one on the kept window [N/2, 3N/2): only full indices
     r <= N/2 - 2 wrap, and they land below it.
 
-    In d >= 2 the pair is rfftn and the steps of irfftn, whose last-axis
-    transform is already batched over the other axes.  A line with
+    Off the four-step line the pair is the 1-D transforms of rfftn and
+    irfftn, in their order; numpy batches each over the other axes.  The
+    forward transforms only the N^(d-1) data rows along the last axis, then
+    each earlier axis over the slabs that hold data.  A line with
     M >= FOUR_STEP_MIN instead runs the four-step transform (Bailey 1990)
     on the length-M circle viewed as a (rows, M / rows) array, rows the
     smallest power of two >= sqrt(M): rfft down the columns, a twiddle exp(-2 pi i k1 j2 / M),
@@ -248,14 +250,12 @@ class ConvolutionPlan:
     transform of M.  The spectrum comes out permuted, but only the
     pointwise product of two spectra in that same order is inverted.
 
-    The plan allocates its work arrays once: the (M,) * dim product, and on
-    the four-step line the zero-padded (rows, M / rows) input and its
-    (rows / 2 + 1, M / rows) spectrum too.  Every call transforms in place
-    in them, so the window it returns is overwritten by the next call, and
-    a plan serves one thread at a time.  Off the four-step line the forward
-    stays rfftn, which allocates its spectrum (numpy refuses out= where s
-    pads an axis); the inverse runs in place in that spectrum and ends in
-    the product.
+    The plan allocates its work arrays once: the (M,) * dim product and a
+    spectrum, plus the kernel's spectrum.  On the four-step line the
+    zero-padded (rows, M / rows) input starts N/2 into the product, at the
+    window, so a window fed back in needs no copy.  Every call transforms
+    in place in them, so the window it returns is overwritten by the next
+    call, and a plan serves one thread at a time.
 
     Before windowing, h^d times the sum of the full circular product must
     equal h^d sum(kernel) sum(g) within tolerance(sum|g|); a larger gap,
@@ -273,28 +273,41 @@ class ConvolutionPlan:
         self._cell = spec.cell_volume
         self._twiddles = _four_step_twiddles(m) if spec.dim == 1 and m >= FOUR_STEP_MIN else None
         if self._twiddles is None:
-            self._input = self._spectrum = None
             self._product = np.empty(self._padded)
+            spectrum = self._padded[:-1] + (m // 2 + 1,)
         else:
             cols = self._twiddles[0].shape[1]
             rows = m // cols
-            self._input = np.zeros((rows, cols))  # the tail past N stays zero
-            self._spectrum = np.empty((rows // 2 + 1, cols), dtype=np.complex128)
-            self._product = np.empty((rows, cols))
-        hat = self._forward(kernel.values)
-        self._kernel_hat = hat if self._spectrum is None else hat.copy()
+            # The input starts at the window, so a window fed back in is already in
+            # place; its zero tail [N, M) lies past the product and is never written.
+            shared = np.zeros(n // 2 + m)
+            self._product = shared[:m].reshape(rows, cols)
+            self._input = shared[n // 2 :].reshape(rows, cols)
+            spectrum = (rows // 2 + 1, cols)
+        self._spectrum = np.empty(spectrum, dtype=np.complex128)
+        self._kernel_hat = self._forward(kernel.values, np.empty_like(self._spectrum))
         self._kernel_sum = float(kernel.values.sum())
         self._kernel_abs = float(np.abs(kernel.values).sum())
 
-    def _forward(self, values: np.ndarray) -> np.ndarray:
-        """Transform of values zero padded to M per axis, in the plan's spectrum order.
+    def _forward(self, values: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+        """Transform of values zero padded to M per axis, in the plan's order, into spectrum.
 
-        On the four-step line the result is the plan's spectrum array.
+        Off the four-step line these are rfftn's 1-D transforms in rfftn's
+        order, so the bits are its bits: rfft along the last axis over the
+        data rows alone, then for each earlier axis, last first, the padded
+        slab zeroed and fft in place over the slabs that hold data.
         """
         if self._twiddles is None:
-            return np.fft.rfftn(values, s=self._padded, axes=self._axes)
-        self._input.reshape(-1)[: values.size] = values
-        spectrum = np.fft.rfft(self._input, axis=0, out=self._spectrum)
+            n = values.shape[0]
+            np.fft.rfft(values, self._padded[-1], out=spectrum[(slice(n),) * (values.ndim - 1)])
+            for axis in reversed(self._axes[:-1]):
+                lead = (slice(n),) * axis  # the slabs that hold data
+                spectrum[lead + (slice(n, None),)] = 0
+                data = spectrum[lead]
+                np.fft.fft(data, axis=axis, out=data)
+            return spectrum
+        self._input.reshape(-1)[: values.size] = values  # no copy if values is the last window
+        np.fft.rfft(self._input, axis=0, out=spectrum)
         spectrum *= self._twiddles[0]
         return np.fft.fft(spectrum, axis=1, out=spectrum)
 
@@ -331,7 +344,7 @@ class ConvolutionPlan:
         if values is self.kernel.values:
             product = np.multiply(self._kernel_hat, self._kernel_hat, out=self._spectrum)
         else:
-            product = self._forward(values)
+            product = self._forward(values, self._spectrum)
             # Kernel first: swapped operands round the complex product differently.
             np.multiply(self._kernel_hat, product, out=product)
         full = self._inverse(product)
@@ -343,9 +356,10 @@ class ConvolutionPlan:
                 f"{CONV_MASS_RTOL:.0e} of h^d sum|f| sum|g| = {bound / CONV_MASS_RTOL:.3e}; "
                 f"this signals an FFT defect"
             )
-        kept = full[self._keep]
-        kept *= self._cell
-        return kept
+        # The rows from N/2 on hold the window and are contiguous: scaling them
+        # needs no ufunc buffer, which a strided window in d >= 2 would.
+        full[self._keep[0]] *= self._cell
+        return full[self._keep]
 
     def __call__(self, g: GridFunction) -> GridFunction:
         if g.spec != self.kernel.spec:

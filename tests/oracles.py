@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 
+from autoconv import grids
+
 
 def write_rows_per_cell(path, header, rows):
     """The per-cell CSV writer grids.write_csv replaced, kept as an oracle.
@@ -23,6 +25,46 @@ def write_rows_per_cell(path, header, rows):
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(cell(v) for v in row) + "\n")
+
+
+def plan_window_with_rfftn(kernel, values):
+    """grids.ConvolutionPlan.window with a fresh array per transform, kept as an oracle.
+
+    The formulation the plan replaced: off the four-step line the forward is
+    rfftn(s=(M,) * d), which allocates its padded intermediates and its
+    spectrum; on it, the four-step transform of a fresh zero-padded copy.
+    The cached kernel spectrum multiplies first, the inverse takes the steps
+    of irfftn (or the four-step's, reversed), and the window is scaled by h^d.
+    The plan runs the same 1-D transforms in its own buffers, so its windows
+    must match these bit for bit.
+    """
+    spec = kernel.spec
+    n, dim = spec.points_per_axis, spec.dim
+    m = 3 * n // 2
+    if dim == 1 and m >= grids.FOUR_STEP_MIN:
+        twiddle, conjugate = grids._four_step_twiddles(m)
+        rows = m // twiddle.shape[1]
+
+        def forward(v):
+            padded = np.zeros(m)
+            padded[:n] = v
+            return np.fft.fft(np.fft.rfft(padded.reshape(rows, -1), axis=0) * twiddle, axis=1)
+
+        def inverse(s):
+            return np.fft.irfft(np.fft.ifft(s, axis=1) * conjugate, axis=0).reshape(m)
+
+    else:
+
+        def forward(v):
+            return np.fft.rfftn(v, s=(m,) * dim, axes=tuple(range(dim)))
+
+        def inverse(s):
+            for axis in range(dim - 1):
+                s = np.fft.ifft(s, axis=axis)
+            return np.fft.irfft(s, m, axis=-1)
+
+    full = inverse(forward(kernel.values) * forward(values))
+    return full[(slice(n // 2, None),) * dim] * spec.cell_volume
 
 
 def _fft_length(target):

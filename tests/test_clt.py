@@ -528,6 +528,18 @@ class TestRunExperiments:
         monkeypatch.setattr(clt, "_MC_CHUNK", 1_000_000)
         assert clt._monte_carlo(*draws) == default
 
+    # a chunk of rows, a single row, a short block and the (1, _MC_CHUNK) block
+    # that draw takes from a row longer than _MC_CHUNK
+    @pytest.mark.parametrize("shape", [(1024, 256), (3, 7), (1, 5), (1, 2**18)])
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+    def test_uniform_sampler_is_rng_uniform_bit_for_bit(self, seed, shape):
+        sampler = clt._summand("finite_variance")[2]
+        half = math.sqrt(3.0)
+        got = sampler(np.random.default_rng(seed), shape)
+        want = np.random.default_rng(seed).uniform(-half, half, shape)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     # 9 and 2 rows per chunk; one row per chunk, a row of n = 16 in blocks of 5, 5, 5 and 1
     @pytest.mark.parametrize("mc_chunk", [37, 5])
     def test_chunk_order_leaves_monte_carlo_unchanged(self, monkeypatch, mc_chunk):

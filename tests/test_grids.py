@@ -29,7 +29,7 @@ from autoconv.grids import (
     to_json,
     write_csv,
 )
-from oracles import write_rows_per_cell
+from oracles import plan_window_with_rfftn, write_rows_per_cell
 
 
 def spec1(L=16.0, N=2**12):
@@ -233,21 +233,44 @@ class TestConvolve:
         mass = f.values.sum()
         np.testing.assert_array_equal(plan.window(f.values, mass, mass), convolve(f, f).values)
 
-    def test_four_step_window_allocates_no_array(self):
-        spec = GridSpec(dim=1, extent=6.0, points_per_axis=2**14)
+    # short lines, the four-step line, d = 2 and d = 3
+    @pytest.mark.parametrize(
+        "dim, n", [(1, 64), (1, 2**12), (1, 2**14), (2, 16), (2, 64), (3, 8), (3, 16)]
+    )
+    def test_plan_window_matches_the_rfftn_oracle_bit_for_bit(self, dim, n):
+        spec = GridSpec(dim=dim, extent=6.0, points_per_axis=n)
+        f = sample(spec, families.gaussian_density())
+        g = np.random.default_rng(n + dim).standard_normal(spec.shape)
+        plan = ConvolutionPlan(f)
+        window = None
+        # a fresh factor, its window fed back in, the kernel itself, its window fed back in
+        for values in (g, None, f.values, None):
+            values = window if values is None else values
+            want = plan_window_with_rfftn(f, values)  # before the call overwrites a fed-back window
+            window = plan.window(values, values.sum(), np.abs(values).sum())
+            assert np.array_equal(window.view(np.uint64), want.view(np.uint64))
+
+    # the four-step line, the longest short line, d = 2 and d = 3; each window
+    # is 32 KiB or more, so the bound clears the call's own Python objects
+    @pytest.mark.parametrize("dim, n", [(1, 2**14), (1, 2**12), (2, 64), (3, 16)])
+    def test_plan_window_allocates_no_array(self, dim, n):
+        spec = GridSpec(dim=dim, extent=6.0, points_per_axis=n)
         f = sample(spec, families.gaussian_density())
         g = np.random.default_rng(0).standard_normal(spec.shape)
         plan = ConvolutionPlan(f)
-        for values in (g, f.values):
+        for values in (g, f.values, None):
+            if values is None:  # the window fed back in, as the series loop does
+                values = plan.window(g, g.sum(), np.abs(g).sum())
             sums = values.sum(), np.abs(values).sum()
-            plan.window(values, *sums)  # warm numpy's plan cache
+            if values.base is None:  # a fed-back window follows warm calls already
+                plan.window(values, *sums)  # warm numpy's plan cache
             tracemalloc.start()
             try:
                 window = plan.window(values, *sums)
                 grown = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            # numpy traces its array buffers; the padded input alone is 1.5 windows
+            # numpy traces its array buffers; a spectrum is 1.5 windows or more
             assert grown < window.nbytes // 8
 
     def test_four_step_twiddles_shared_per_length(self):
