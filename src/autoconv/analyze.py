@@ -258,14 +258,13 @@ def critical_moment_theorem_demo(
     regime = "critical" if abs(build.ratio - 1.0) <= 4e-3 else "subcritical"
 
     scan_target = build.solution
-    if build.ratio >= 0.995 and build.residual_mass > 0:
+    if build.ratio >= 0.995:
         sigma2 = moment(u, 2.0) / build.residual_mass
         resolved = math.sqrt(build.n_terms * sigma2)
         extent = u.spec.extent
         while extent > resolved and u.spec.points_per_axis * (extent / u.spec.extent) >= 16:
             extent /= 2.0
-        if extent < u.spec.extent:
-            scan_target = restrict(build.solution, extent)
+        scan_target = restrict(build.solution, extent)
 
     reports = {
         order: moment_scan(scan_target, order, levels=levels) for order in DEMO_ORDERS

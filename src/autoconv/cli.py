@@ -92,12 +92,13 @@ def _grid_function(cfg) -> grids.GridFunction:
     elif name in table:
         build = table[name]
         read = _params(build)
-        if cfg["N"] is None:
-            cfg["N"] = _DEFAULT_N.get(cfg["d"])
+        for key, default in _DEFAULT_GRID.get(cfg["d"], {}).items():
+            if cfg[key] is None:
+                cfg[key] = default
         spec = grids.GridSpec(dim=cfg["d"], extent=cfg["L"], points_per_axis=cfg["N"])
         g = build(spec, **{key: cfg[key] for key in read})
-    elif source == "family" and name:
-        raise CliError(f"unknown family {name!r}")
+    elif name:
+        raise CliError(f"unknown {source} {name!r}")
     else:
         choices = " {" + ",".join(_RESIDUALS) + "}" if source == "residual" else ""
         raise CliError(f"provide either --input or --{source}{choices}")
@@ -211,10 +212,12 @@ def _run_clt(cfg):
 # table drives the subcommands, flags, config-file keys and type checks.
 _GRID = {
     "d": (int, 1, "dimension: 1, 2 or 3"),
-    "L": (float, 100.0, "grid window [-L, L) per axis"),
+    "L": (float, None, "grid window [-L, L) per axis (default 100, 40, 20 in d = 1, 2, 3)"),
     "N": (int, None, "points per axis, a power of two (default 16384, 256, 64 in d = 1, 2, 3)"),
 }
-_DEFAULT_N = {1: 16384, 2: 256, 3: 64}  # 16384 per axis is 2 GiB an array in d = 2
+# 16384 points per axis are 2 GiB an array in d = 2, and L = 100 in d = 3 would space
+# the nodes 3.125 apart, wider than every family's scale.
+_DEFAULT_GRID = {1: {"L": 100.0, "N": 16384}, 2: {"L": 40.0, "N": 256}, 3: {"L": 20.0, "N": 64}}
 _FAMILY = {
     **_GRID,
     "family": (str, None, "poisson, poisson_margin, sinc, heavy_tail, gaussian or reverse"),

@@ -9,13 +9,11 @@ power, invert on the same grid.  As w is real, only the half m >= 0 is
 computed, powered and inverted (irfft).  The transform evaluates one chirp
 table into its spectrum buffer, copies its kernel and twist out of it, and
 holds two complex buffers of its FFT length and one of N/2 + 1 points, its
-FFTs running in place (numpy >= 2.0).  On 2 cores (numpy 2.4.6) a density
-on the CLI's 2^18-point grid takes 29-42 ms per n for the uniform summand,
-nonzero on 11 % of it, and 54-83 ms for the heavy tail.  With
-finite variance the mass in a fixed ball tends to the Gaussian ball mass;
-with infinite variance it drains to zero, which a mandatory Monte Carlo
-cross-check confirms independently of the grid (window truncation alone
-would fake a finite variance).
+FFTs running in place (numpy >= 2.0).  With finite variance the mass in
+a fixed ball tends to the Gaussian ball mass; with infinite variance it
+drains to zero, which a mandatory Monte Carlo cross-check confirms
+independently of the grid (window truncation alone would fake a finite
+variance).
 
 run_experiments lists the Monte Carlo sums as chunks of _MC_CHUNK // n rows
 of n draws, each drawn from its n's stream of the recorded seed advanced to
@@ -182,7 +180,7 @@ def ball_mass(density: GridFunction, radius: float) -> float:
     quantity is only informative for radius < extent.
     """
     check_number("radius", radius, "nonnegative")
-    return _ball_reads(density, density.spec.radii(), (radius,), phi=False)[0]
+    return _ball_reads(density, density.spec.radii(), (radius,))[0]
 
 
 def phi_functional(density: GridFunction) -> float:
@@ -190,12 +188,11 @@ def phi_functional(density: GridFunction) -> float:
     return _ball_reads(density, density.spec.radii(), ())[0]
 
 
-def _ball_reads(density: GridFunction, nodes: np.ndarray, radii, phi=True) -> list[float]:
-    """ball_mass at each of radii, then phi_functional if phi; nodes is density.spec.radii()."""
+def _ball_reads(density: GridFunction, nodes: np.ndarray, radii) -> list[float]:
+    """ball_mass at each of radii, then phi_functional; nodes is density.spec.radii()."""
     h = density.spec.cell_volume
     reads = [float(density.values[nodes <= radius].sum() * h) for radius in radii]
-    if phi:
-        reads.append(float(np.sum(np.minimum(1.0, nodes) * density.values) * h))
+    reads.append(float(np.sum(np.minimum(1.0, nodes) * density.values) * h))
     return reads
 
 

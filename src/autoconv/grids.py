@@ -251,11 +251,10 @@ class ConvolutionPlan:
     pointwise product of two spectra in that same order is inverted.
 
     The plan allocates its work arrays once: the (M,) * dim product and a
-    spectrum, plus the kernel's spectrum.  On the four-step line the
-    zero-padded (rows, M / rows) input starts N/2 into the product, at the
-    window, so a window fed back in needs no copy.  Every call transforms
-    in place in them, so the window it returns is overwritten by the next
-    call, and a plan serves one thread at a time.
+    spectrum, plus the kernel's spectrum and, on the four-step line, the
+    zero-padded (rows, M / rows) input.  Every call transforms in place in
+    them, so the window it returns is overwritten by the next call, and a
+    plan serves one thread at a time.
 
     Before windowing, h^d times the sum of the full circular product must
     equal h^d sum(kernel) sum(g) within tolerance(sum|g|); a larger gap,
@@ -272,17 +271,13 @@ class ConvolutionPlan:
         self._keep = (slice(n // 2, None),) * spec.dim
         self._cell = spec.cell_volume
         self._twiddles = _four_step_twiddles(m) if spec.dim == 1 and m >= FOUR_STEP_MIN else None
+        self._product = np.empty(self._padded)
         if self._twiddles is None:
-            self._product = np.empty(self._padded)
             spectrum = self._padded[:-1] + (m // 2 + 1,)
         else:
             cols = self._twiddles[0].shape[1]
             rows = m // cols
-            # The input starts at the window, so a window fed back in is already in
-            # place; its zero tail [N, M) lies past the product and is never written.
-            shared = np.zeros(n // 2 + m)
-            self._product = shared[:m].reshape(rows, cols)
-            self._input = shared[n // 2 :].reshape(rows, cols)
+            self._input = np.zeros((rows, cols))  # the tail past N stays zero
             spectrum = (rows // 2 + 1, cols)
         self._spectrum = np.empty(spectrum, dtype=np.complex128)
         self._kernel_hat = self._forward(kernel.values, np.empty_like(self._spectrum))
@@ -306,7 +301,7 @@ class ConvolutionPlan:
                 data = spectrum[lead]
                 np.fft.fft(data, axis=axis, out=data)
             return spectrum
-        self._input.reshape(-1)[: values.size] = values  # no copy if values is the last window
+        self._input.reshape(-1)[: values.size] = values
         np.fft.rfft(self._input, axis=0, out=spectrum)
         spectrum *= self._twiddles[0]
         return np.fft.fft(spectrum, axis=1, out=spectrum)
@@ -323,7 +318,8 @@ class ConvolutionPlan:
         columns = np.fft.ifft(spectrum, axis=1, out=spectrum)
         columns *= self._twiddles[1]
         # rows is even, so irfft's default length restores it
-        return np.fft.irfft(columns, axis=0, out=self._product).reshape(self._padded)
+        np.fft.irfft(columns, axis=0, out=self._product.reshape(self._input.shape))
+        return self._product
 
     def tolerance(self, g_abs: float) -> float:
         """The mass guard's ceiling, in window's units (h^d included), for sum|g| = g_abs."""

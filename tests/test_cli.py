@@ -165,6 +165,22 @@ def test_default_points_per_axis_follow_the_dimension(tmp_path, dim, n):
     assert read_report(tmp_path, "family")["report"]["config"]["N"] == n
 
 
+@pytest.mark.parametrize("command", ["family", "verify"])
+@pytest.mark.parametrize("dim,extent", [(1, 100.0), (2, 40.0), (3, 20.0)])
+def test_default_window_follows_the_dimension(tmp_path, command, dim, extent):
+    argv = [command, "--family", "poisson", "--d", str(dim), "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    assert read_report(tmp_path, command)["report"]["config"]["L"] == extent
+
+
+@pytest.mark.parametrize("family", ["poisson", "poisson_margin"])
+def test_default_three_dimensional_grid_verifies_a_solution(tmp_path, family):
+    # at L = 100 the d = 3 spacing is 3.125: the Poisson Riemann sum read mass 1.784, exit 2
+    argv = ["verify", "--family", family, "--d", "3", "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    assert read_report(tmp_path, "verify")["report"]["results"]["verdict"] == "solution"
+
+
 @pytest.mark.parametrize(
     "command,flag,name",
     [
@@ -882,6 +898,7 @@ def _grid_header_file(tmp_path, **header):
         (["family", "--family", "bogus"], "unknown family 'bogus'"),
         (["verify"], "provide either --input or --family"),
         (["construct"], "provide either --input or --residual {gaussian,bump,poisson_margin}"),
+        (["construct", "--residual", "bogus"], "unknown residual 'bogus'"),
         (["family", "--input", {"values": [0.1] * 7 + [True]}], "values[7] must be a number"),
         (["family", "--input", {"values": ["0.1"] * 8}], "values[0] must be a number"),
         (["family", "--input", {"values": [[0.1] * 4] * 2}], "values[0] must be a number"),
