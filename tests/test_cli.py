@@ -898,12 +898,12 @@ def _grid_header_file(tmp_path, **header):
         (["family", "--family", "bogus"], "unknown family 'bogus'"),
         (["verify"], "provide either --input or --family"),
         (["construct"], "provide either --input or --residual {gaussian,bump,poisson_margin}"),
-        (["construct", "--residual", "bogus"], "unknown residual 'bogus'"),
         (["family", "--input", {"values": [0.1] * 7 + [True]}], "values[7] must be a number"),
         (["family", "--input", {"values": ["0.1"] * 8}], "values[0] must be a number"),
         (["family", "--input", {"values": [[0.1] * 4] * 2}], "values[0] must be a number"),
         (["family", "--input", {"values": "0.1"}], "values must be a list of numbers"),
         (["family", "--input", {"extent": "4.0"}], "extent must be finite"),
+        (["construct", "--residual", "bogus"], "unknown residual 'bogus'"),
     ],
 )
 def test_non_finite_or_mistyped_parameter_rejected(tmp_path, capsys, argv, name):
