@@ -17,7 +17,8 @@ each further convolution with it costs one forward and one inverse real
 transform: rfftn/irfftn, except on a line from M = FOUR_STEP_MIN up,
 where a four-step split into two batched transforms of ~sqrt(M) points
 runs faster than numpy's scalar transform of M points (1.2-1.35 times at
-M = 12,288-98,304 on one Xeon core, numpy 2.4.6).  The plan owns its work
+M = 12,288-98,304 on one Xeon core, numpy 2.4.6); four_step_fft runs the
+same split in place on a complex line, for the CLT.  The plan owns its work
 arrays and runs every call's transforms in them, so a call allocates no
 array, and its window is a view into the plan's product until the next
 call.  The inverse of a real-input product is real by construction, and a
@@ -45,8 +46,11 @@ from . import csvcells
 # a full padded circular convolution and sum(f) sum(g); anything larger
 # signals an FFT defect.
 CONV_MASS_RTOL = 1e-9
-# Smallest padded length M = 3N/2 at which a one-dimensional ConvolutionPlan
-# runs the four-step transform; below it one rfft/irfft pair is faster.
+# Smallest transform length that runs the four-step split: the padded length
+# M = 3N/2 of a one-dimensional ConvolutionPlan, below which one rfft/irfft
+# pair is faster, and the FFT length of the CLT's chirp-z transform
+# (clt._charfun_on_scaled_lattice, through four_step_fft), below which it
+# keeps single np.fft transforms.
 FOUR_STEP_MIN = 12288
 # Relative ceiling on the imaginary residue of an inverse transform whose
 # result is contractually real.
@@ -209,21 +213,66 @@ def moment(g: GridFunction, order: float) -> float:
 
 
 @functools.cache
-def _four_step_twiddles(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """ConvolutionPlan's four-step twiddle for padded length m and its conjugate, read-only."""
+def _four_step_factors(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The four-step twiddle of length m as two factor tables, then their conjugates, read-only.
+
+    The length-m circle is viewed as a (rows, m / rows) array, rows the
+    smallest power of two >= sqrt(m).  Its twiddle exp(-2 pi i k1 j2 / m) at
+    k1 = 16 a + b is coarse[a, j2] * fine[b, j2]: coarse holds k1 = 16 a < rows
+    and fine k1 = b < 16, rows / 16 + 16 rows of exponentials, not rows.
+    """
     rows = 1 << math.isqrt(m - 1).bit_length()
-    cols = m // rows
-    # exp(-2 pi i k1 j2 / M) at k1 = 16 a + b is its value at 16 a times its
-    # value at b: two small tables of exponentials, not one per entry.
     coarse, fine = (
-        np.exp(-2j * math.pi / m * np.outer(k1, np.arange(cols)))
-        for k1 in (np.arange(0, rows // 2 + 16, 16), np.arange(16))
+        np.exp(-2j * math.pi / m * np.outer(k1, np.arange(m // rows)))
+        for k1 in (np.arange(0, rows, 16), np.arange(16))
     )
-    twiddle = (coarse[:, None, :] * fine).reshape(-1, cols)[: rows // 2 + 1]
+    tables = (coarse, fine, coarse.conj(), fine.conj())
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+@functools.cache
+def _four_step_twiddles(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """ConvolutionPlan's four-step twiddle for padded length m and its conjugate, read-only.
+
+    Its rows k1 = 0..rows/2 are the products of _four_step_factors(m).
+    """
+    coarse, fine = _four_step_factors(m)[:2]
+    cols = coarse.shape[1]
+    rows = m // cols
+    twiddle = (coarse[: rows // 32 + 1, None, :] * fine).reshape(-1, cols)[: rows // 2 + 1]
     pair = (twiddle, twiddle.conj())
     for table in pair:
         table.flags.writeable = False
     return pair
+
+
+def four_step_fft(a: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """The DFT of a contiguous complex array of length m, in place, by the four-step split.
+
+    a is viewed as a (rows, m / rows) array as in _four_step_factors (m is
+    2^k or 3 * 2^k, at least FOUR_STEP_MIN).  The forward runs fft down the
+    columns, applies the twiddle as its two factor tables and runs fft along
+    the rows (Bailey 1990), so X[k1 + rows * k2] lands at row k1, column k2:
+    the permuted order.  The inverse takes that order back to natural order,
+    with ifft's 1/m.  Each step transforms a batch of ~sqrt(m)-point lines
+    in place, so no scratch of length m is allocated.  Returns a.
+    """
+    coarse, fine, coarse_conj, fine_conj = _four_step_factors(a.size)
+    grid = a.reshape(-1, coarse.shape[1])
+    blocks = grid.reshape(coarse.shape[0], 16, -1)  # k1 = 16 a + b at [a, b]
+    if inverse:
+        np.fft.ifft(grid, axis=1, out=grid)
+        blocks *= coarse_conj[:, None]
+        blocks *= fine_conj
+        np.fft.ifft(grid, axis=0, out=grid)
+    else:
+        np.fft.fft(grid, axis=0, out=grid)
+        blocks *= coarse[:, None]
+        blocks *= fine
+        np.fft.fft(grid, axis=1, out=grid)
+    return a
 
 
 class ConvolutionPlan:

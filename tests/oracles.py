@@ -73,19 +73,22 @@ def _fft_length(target):
     return 3 * power // 4 if 3 * power // 4 >= target else power
 
 
-def charfun_with_chirp_table(w, n):
+def charfun_with_chirp_table(w, n, numpy_fft=False):
     """clt._charfun_on_scaled_lattice with a fresh array per step, kept as an oracle.
 
     The same chirp table exp(i pi a t^2) at t = 0 up to the largest index
     read, lags, FFT lengths and products; what it does differently is to
     allocate a fresh array for every intermediate and every FFT, where the
     library evaluates the table into its spectrum buffer and transforms in
-    place.  The CLI's clt.csv bytes were written by this formulation.  Its
-    final product was written product * conj(chirp[:count]); from 256 KiB
-    up (2^15 grid points, the CLI's 2^18 included) numpy elides the conj
-    temporary and multiplies in place on it, twist first, and a complex
-    product rounds differently with its operands swapped.  That order is
-    written out here for every size.
+    place.  From an FFT length of grids.FOUR_STEP_MIN up its three FFTs are
+    the four-step transform's steps, each on a fresh array, the spectra in
+    its permuted order; numpy_fft runs one np.fft transform of the full
+    length at every size instead, the formulation that wrote the CLI's
+    clt.csv bytes before the four-step.  Its final product was written
+    product * conj(chirp[:count]); from 256 KiB up (2^15 grid points, the
+    CLI's 2^18 included) numpy elides the conj temporary and multiplies in
+    place on it, twist first, and a complex product rounds differently with
+    its operands swapped.  That order is written out here for every size.
     """
     spec = w.spec
     points = spec.points_per_axis
@@ -101,9 +104,27 @@ def charfun_with_chirp_table(w, n):
     negative = max(-lo, 0)
     kernel[:negative] = chirp[negative:0:-1]
     kernel[negative : hi - lo] = chirp[max(lo, 0) : hi]
-    spectrum = np.fft.fft(w.values[start:stop] * kernel[support - 1 :: -1].conj(), size)
-    spectrum *= np.fft.fft(kernel)
-    product = np.fft.ifft(spectrum)
+    signal = np.zeros(size, dtype=complex)
+    signal[:support] = w.values[start:stop] * kernel[support - 1 :: -1].conj()
+    fft, ifft = np.fft.fft, np.fft.ifft
+    if size >= grids.FOUR_STEP_MIN and not numpy_fft:
+        coarse, fine, coarse_conj, fine_conj = grids._four_step_factors(size)
+        rows, cols = size // coarse.shape[1], coarse.shape[1]
+
+        def twisted(x, first, second):  # x times the twiddle at k1 = 16 a + b, coarse first
+            return (x.reshape(-1, 16, cols) * first[:, None] * second).reshape(rows, cols)
+
+        def fft(x):  # natural order in, k1 + rows * k2 at row k1, column k2 out
+            columns = twisted(np.fft.fft(x.reshape(rows, cols), axis=0), coarse, fine)
+            return np.fft.fft(columns, axis=1).reshape(size)
+
+        def ifft(x):
+            columns = twisted(np.fft.ifft(x.reshape(rows, cols), axis=1), coarse_conj, fine_conj)
+            return np.fft.ifft(columns, axis=0).reshape(size)
+
+    spectrum = fft(signal)
+    spectrum *= fft(kernel)
+    product = ifft(spectrum)
     window = chirp[:count].conj()
     np.multiply(window, product[support - 1 : support - 1 + count], out=window)
     window *= spec.spacing

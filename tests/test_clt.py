@@ -203,30 +203,35 @@ class TestRescaledDensity:
         spec, evaluator = clt._summand(kind)[:2]
         w = normalized(spec, evaluator)
         assert np.count_nonzero(w.values) == (28_377 if kind == "finite_variance" else 2**18)
-        lengths = []
+        calls = []
         for name in ("fft", "ifft"):
             real = getattr(np.fft, name)
 
-            def spy(a, n=None, *args, _real=real, **kwargs):
-                out = _real(a, n, *args, **kwargs)
-                lengths.append(out.shape[-1])
+            def spy(a, n=None, axis=-1, *args, _real=real, _name=name, **kwargs):
+                out = _real(a, n, axis, *args, **kwargs)
+                calls.append((_name, out.shape, axis))
                 return out
 
             monkeypatch.setattr(np.fft, name, spy)
         _charfun_on_scaled_lattice(w, 4)
-        assert lengths == [length] * 3
+        # three four-step transforms of rows x cols = length points: the signal's
+        # and the kernel's forward, down the columns first, then the inverse
+        shape = {196_608: (512, 384), 393_216: (1024, 384)}[length]
+        forward = [("fft", shape, 0), ("fft", shape, 1)]
+        assert calls == forward * 2 + [("ifft", shape, 1), ("ifft", shape, 0)]
 
     @pytest.mark.parametrize(
-        "kind, points",
+        "kind, points, length",
         [
             # the uniform summand spans j = -14,188..14,188: |m - j| < 145,261 for m <= 2^17
-            ("finite_variance", 145_261),
+            ("finite_variance", 145_261, 196_608),
             # the heavy tail's kernel spans 393,216 lags; the negative ones are copied
-            ("infinite_variance", 262_145),
+            ("infinite_variance", 262_145, 393_216),
         ],
         ids=["finite_variance", "infinite_variance"],
     )
-    def test_chirp_covers_only_the_indices_read(self, monkeypatch, kind, points):
+    def test_chirp_covers_only_the_indices_read(self, monkeypatch, kind, points, length):
+        grids._four_step_factors(length)  # the FFT length's twiddle factors, built once per length
         lengths = []
         real = np.exp
 
@@ -249,6 +254,17 @@ class TestRescaledDensity:
         w = grids.sample_with_mass(spec, evaluator, 1.0)
         got = _charfun_on_scaled_lattice(w, n)
         assert np.array_equal(got.view(np.uint64), charfun_with_chirp_table(w, n).view(np.uint64))
+
+    @pytest.mark.parametrize("n", [4, 5, 256])
+    @pytest.mark.parametrize("kind", ["finite_variance", "infinite_variance"])
+    def test_cli_grid_is_close_to_single_numpy_transforms(self, kind, n):
+        # the four-step transforms round differently from one np.fft transform
+        # of the full length: at most 7e-16 apart at the CLI grid
+        spec, evaluator = clt._summand(kind)[:2]
+        w = grids.sample_with_mass(spec, evaluator, 1.0)
+        got = _charfun_on_scaled_lattice(w, n)
+        want = charfun_with_chirp_table(w, n, numpy_fft=True)
+        assert np.abs(got - want).max() <= 1e-14
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     @pytest.mark.parametrize(

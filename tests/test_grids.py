@@ -278,11 +278,47 @@ class TestConvolve:
         f = sample(spec, families.gaussian_density())
         g = GridFunction(spec=spec, values=np.random.default_rng(0).standard_normal(spec.shape))
         grids._four_step_twiddles.cache_clear()
+        grids._four_step_factors.cache_clear()
         built = convolve(f, g).values
         first, second = ConvolutionPlan(f), ConvolutionPlan(g)
         assert all(a is b for a, b in zip(first._twiddles, second._twiddles))
         assert not any(table.flags.writeable for table in first._twiddles)
         assert np.array_equal(convolve(f, g).values.view(np.uint64), built.view(np.uint64))
+        # the plan's twiddle multiplies out the factors that four_step_fft applies in turn
+        assert grids._four_step_factors.cache_info().currsize == 1
+        coarse, fine = grids._four_step_factors(24576)[:2]
+        assert coarse.shape == (256 // 16, 96) and fine.shape == (16, 96)
+        twiddle = first._twiddles[0]
+        assert twiddle.shape == (256 // 2 + 1, 96)
+        for k1 in range(twiddle.shape[0]):
+            product = coarse[k1 // 16] * fine[k1 % 16]
+            assert np.array_equal(twiddle[k1].view(np.uint64), product.view(np.uint64))
+
+    # rows x cols: 128 x 96, 256 x 128, and the CLI's CLT lengths 512 x 384 and 1024 x 384
+    @pytest.mark.parametrize("m", [12_288, 2**15, 196_608, 393_216])
+    def test_four_step_fft_matches_numpy(self, m):
+        rng = np.random.default_rng(m)
+        x = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        a = x.copy()
+        out = grids.four_step_fft(a)
+        assert out is a
+        rows = 1 << math.isqrt(m - 1).bit_length()
+        want = np.fft.fft(x)
+        # X[k1 + rows * k2] sits at row k1, column k2
+        got = out.reshape(rows, -1).T.ravel()
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        back = grids.four_step_fft(out, inverse=True)
+        assert back is a
+        assert np.abs(back - x).max() <= 1e-12 * np.abs(x).max()
+
+    def test_four_step_factors_cached_small_and_read_only(self):
+        grids._four_step_factors.cache_clear()
+        tables = grids._four_step_factors(393_216)
+        assert grids._four_step_factors(393_216) is tables
+        assert grids._four_step_factors(196_608) is not tables
+        assert not any(table.flags.writeable for table in tables)
+        # two factors and their conjugates, against 6.3 MB for one full-length table
+        assert sum(table.nbytes for table in tables) < 1e6
 
     @pytest.mark.parametrize("dim, n", [(1, 2**14), (2, 32), (3, 16)])
     def test_result_owns_its_values(self, dim, n):
