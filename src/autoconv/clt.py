@@ -9,13 +9,12 @@ power, invert on the same grid.  As w is real, only the half m >= 0 is
 computed, powered and inverted (irfft).  The transform evaluates one chirp
 table into its spectrum buffer, copies its kernel and twist out of it, and
 holds two complex buffers of its FFT length and one of N/2 + 1 points, its
-FFTs running in place: from grids.FOUR_STEP_MIN points up (every CLI grid)
-as four-step transforms, which allocate no scratch of the FFT length, and
-below it as single np.fft transforms (numpy >= 2.0).  With finite variance
-the mass in a fixed ball tends to the Gaussian ball mass; with infinite
-variance it drains to zero, which a mandatory Monte Carlo cross-check
-confirms independently of the grid (window truncation alone would fake a
-finite variance).
+FFTs running in place as four-step transforms (grids.four_step_fft) at
+every grid size, which allocate no scratch of the FFT length.  With finite
+variance the mass in a fixed ball tends to the Gaussian ball mass; with
+infinite variance it drains to zero, which a mandatory Monte Carlo
+cross-check confirms independently of the grid (window truncation alone
+would fake a finite variance).
 
 run_experiments lists the Monte Carlo sums as chunks of _MC_CHUNK // n rows
 of n draws, each drawn from its n's stream of the recorded seed advanced to
@@ -35,7 +34,7 @@ import numpy as np
 
 from .families import heavy_tail_density, heavy_tail_sampler
 from .grids import GridFunction, GridSpec, check_count, check_number, check_real, integrate
-from .grids import FOUR_STEP_MIN, WorkShare, four_step_fft, sample_with_mass, warn
+from .grids import WorkShare, four_step_fft, sample_with_mass, warn
 
 DENSITY_CLAMP = 1e-8
 MASS_WARN = 0.02
@@ -88,12 +87,11 @@ def _charfun_on_scaled_lattice(w: GridFunction, n: int) -> np.ndarray:
     kernel and the twist conj(chirp_m) are copied out of it.  Two complex
     buffers of the FFT length (the spectrum's as long as the table if that
     is longer) and the half-length twist are all it holds.  The signal is
-    built in the zeroed spectrum buffer, and the three FFTs run in place:
-    from FOUR_STEP_MIN points up as grids.four_step_fft, with no scratch of
-    the FFT length (one np.fft transform faults in fresh scratch of about
-    twice its size on every call), the two spectra in one permuted order
-    that their pointwise product does not see; below it as np.fft (numpy
-    >= 2.0).
+    built in the zeroed spectrum buffer, and the three FFTs run in place as
+    grids.four_step_fft, at any FFT length, with no scratch of the FFT
+    length (one np.fft transform faults in fresh scratch of about twice its
+    size on every call), the two spectra in one permuted order that their
+    pointwise product does not see.
     """
     spec = w.spec
     points = spec.points_per_axis
@@ -122,14 +120,9 @@ def _charfun_on_scaled_lattice(w: GridFunction, n: int) -> np.ndarray:
     signal = spectrum[:support]
     np.conjugate(kernel[support - 1 :: -1], out=signal)
     np.multiply(w.values[start:stop], signal, out=signal)
-    if size < FOUR_STEP_MIN:
-        np.fft.fft(spectrum, out=spectrum)
-        spectrum *= np.fft.fft(kernel, out=kernel)
-        np.fft.ifft(spectrum, out=spectrum)
-    else:
-        four_step_fft(spectrum)
-        spectrum *= four_step_fft(kernel)
-        four_step_fft(spectrum, inverse=True)
+    four_step_fft(spectrum)
+    spectrum *= four_step_fft(kernel)
+    four_step_fft(spectrum, inverse=True)
     del kernel
     # twist first: a complex product rounds differently with its operands swapped
     np.multiply(twist, spectrum[support - 1 : support - 1 + count], out=twist)

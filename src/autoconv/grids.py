@@ -14,12 +14,13 @@ circular size M = 3N/2 per axis, the smallest that leaves the kept window
 slot r, and r + M <= 2N - 2 forces r <= N/2 - 2, below the window.  A
 ConvolutionPlan caches the padded real transform of one fixed factor, so
 each further convolution with it costs one forward and one inverse real
-transform: rfftn/irfftn, except on a line from M = FOUR_STEP_MIN up,
-where a four-step split into two batched transforms of ~sqrt(M) points
-runs faster than numpy's scalar transform of M points (1.2-1.35 times at
-M = 12,288-98,304 on one Xeon core, numpy 2.4.6); four_step_fft runs the
-same split in place on a complex line, for the CLT.  The plan owns its work
-arrays and runs every call's transforms in them, so a call allocates no
+transform: rfftn/irfftn in d >= 2, and on a line of any length a four-step
+split into two batched transforms of ~sqrt(M) points, which runs faster
+than numpy's scalar transform of M points on long lines (1.2-1.35 times at
+M = 12,288-98,304 on one Xeon core, numpy 2.4.6) and keeps one path on
+short ones; four_step_fft runs the same split in place on a complex line,
+for the CLT.  The plan owns its work arrays and runs every call's
+transforms in them, so a call allocates no
 array, and its window is a view into the plan's product until the next
 call.  The inverse of a real-input product is real by construction, and a
 mass identity on the full circular product guards it in place of an
@@ -46,12 +47,6 @@ from . import csvcells
 # a full padded circular convolution and sum(f) sum(g); anything larger
 # signals an FFT defect.
 CONV_MASS_RTOL = 1e-9
-# Smallest transform length that runs the four-step split: the padded length
-# M = 3N/2 of a one-dimensional ConvolutionPlan, below which one rfft/irfft
-# pair is faster, and the FFT length of the CLT's chirp-z transform
-# (clt._charfun_on_scaled_lattice, through four_step_fft), below which it
-# keeps single np.fft transforms.
-FOUR_STEP_MIN = 12288
 # Relative ceiling on the imaginary residue of an inverse transform whose
 # result is contractually real.
 IDFT_IMAG_TOL = 1e-10
@@ -216,15 +211,17 @@ def moment(g: GridFunction, order: float) -> float:
 def _four_step_factors(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The four-step twiddle of length m as two factor tables, then their conjugates, read-only.
 
-    The length-m circle is viewed as a (rows, m / rows) array, rows the
-    smallest power of two >= sqrt(m).  Its twiddle exp(-2 pi i k1 j2 / m) at
-    k1 = 16 a + b is coarse[a, j2] * fine[b, j2]: coarse holds k1 = 16 a < rows
-    and fine k1 = b < 16, rows / 16 + 16 rows of exponentials, not rows.
+    The length-m circle, any m >= 1, is viewed as a (rows, m / rows) array,
+    rows the smallest power of two >= sqrt(m) or, if smaller, the largest
+    power of two dividing m (m & -m).  Its twiddle exp(-2 pi i k1 j2 / m) at
+    k1 = B a + b, B = min(rows, 16), is coarse[a, j2] * fine[b, j2]: coarse
+    holds k1 = 16 a < rows and fine k1 = b < B, rows / 16 + 16 rows of
+    exponentials, not rows, when rows >= 16.
     """
-    rows = 1 << math.isqrt(m - 1).bit_length()
+    rows = min(1 << math.isqrt(m - 1).bit_length(), m & -m)
     coarse, fine = (
         np.exp(-2j * math.pi / m * np.outer(k1, np.arange(m // rows)))
-        for k1 in (np.arange(0, rows, 16), np.arange(16))
+        for k1 in (np.arange(0, rows, 16), np.arange(min(rows, 16)))
     )
     tables = (coarse, fine, coarse.conj(), fine.conj())
     for table in tables:
@@ -251,17 +248,21 @@ def _four_step_twiddles(m: int) -> tuple[np.ndarray, np.ndarray]:
 def four_step_fft(a: np.ndarray, inverse: bool = False) -> np.ndarray:
     """The DFT of a contiguous complex array of length m, in place, by the four-step split.
 
-    a is viewed as a (rows, m / rows) array as in _four_step_factors (m is
-    2^k or 3 * 2^k, at least FOUR_STEP_MIN).  The forward runs fft down the
-    columns, applies the twiddle as its two factor tables and runs fft along
-    the rows (Bailey 1990), so X[k1 + rows * k2] lands at row k1, column k2:
-    the permuted order.  The inverse takes that order back to natural order,
-    with ifft's 1/m.  Each step transforms a batch of ~sqrt(m)-point lines
-    in place, so no scratch of length m is allocated.  Returns a.
+    a is viewed as a (rows, m / rows) array as in _four_step_factors, for
+    any length m >= 1; a non-contiguous a raises ValueError, as its reshape
+    would be a copy that the transform never reaches.  The forward runs fft
+    down the columns, applies the twiddle as its two factor tables and runs
+    fft along the rows (Bailey 1990), so X[k1 + rows * k2] lands at row k1,
+    column k2: the permuted order.  The inverse takes that order back to
+    natural order, with ifft's 1/m.  Each step transforms a batch of
+    ~sqrt(m)-point lines in place, so no scratch of length m is allocated.
+    Returns a.
     """
+    if not a.flags.c_contiguous:
+        raise ValueError("four_step_fft transforms in place: the array must be contiguous")
     coarse, fine, coarse_conj, fine_conj = _four_step_factors(a.size)
     grid = a.reshape(-1, coarse.shape[1])
-    blocks = grid.reshape(coarse.shape[0], 16, -1)  # k1 = 16 a + b at [a, b]
+    blocks = grid.reshape(coarse.shape[0], fine.shape[0], -1)  # k1 = B a + b at [a, b]
     if inverse:
         np.fft.ifft(grid, axis=1, out=grid)
         blocks *= coarse_conj[:, None]
@@ -286,22 +287,23 @@ class ConvolutionPlan:
     the linear one on the kept window [N/2, 3N/2): only full indices
     r <= N/2 - 2 wrap, and they land below it.
 
-    Off the four-step line the pair is the 1-D transforms of rfftn and
-    irfftn, in their order; numpy batches each over the other axes.  The
-    forward transforms only the N^(d-1) data rows along the last axis, then
-    each earlier axis over the slabs that hold data.  A line with
-    M >= FOUR_STEP_MIN instead runs the four-step transform (Bailey 1990)
-    on the length-M circle viewed as a (rows, M / rows) array, rows the
-    smallest power of two >= sqrt(M): rfft down the columns, a twiddle exp(-2 pi i k1 j2 / M),
-    then fft along the rows, and the reverse with the conjugate twiddle
-    (built once per M and shared by every plan of that length).
-    Two batched transforms of ~sqrt(M) points run faster than one scalar
-    transform of M.  The spectrum comes out permuted, but only the
+    In d >= 2 the pair is the 1-D transforms of rfftn and irfftn, in their
+    order; numpy batches each over the other axes.  The forward transforms
+    only the N^(d-1) data rows along the last axis, then each earlier axis
+    over the slabs that hold data.  Every line (d = 1) instead runs the
+    four-step transform (Bailey 1990) on the length-M circle viewed as a
+    (rows, M / rows) array, rows as in _four_step_factors: rfft down the
+    columns, a twiddle exp(-2 pi i k1 j2 / M), then fft along the rows, and
+    the reverse with the conjugate twiddle (built once per M and shared by
+    every plan of that length).  On long lines (M = 6,144 and up, where
+    timed) two batched transforms of ~sqrt(M) points run faster than one
+    scalar transform of M; on short ones they cost microseconds more, the
+    price of one path.  The spectrum comes out permuted, but only the
     pointwise product of two spectra in that same order is inverted.
 
     The plan allocates its work arrays once: the (M,) * dim product and a
-    spectrum, plus the kernel's spectrum and, on the four-step line, the
-    zero-padded (rows, M / rows) input.  Every call transforms in place in
+    spectrum, plus the kernel's spectrum and, on a line, the zero-padded
+    (rows, M / rows) input.  Every call transforms in place in
     them, so the window it returns is overwritten by the next call, and a
     plan serves one thread at a time.
 
@@ -319,7 +321,7 @@ class ConvolutionPlan:
         self._axes = tuple(range(spec.dim))
         self._keep = (slice(n // 2, None),) * spec.dim
         self._cell = spec.cell_volume
-        self._twiddles = _four_step_twiddles(m) if spec.dim == 1 and m >= FOUR_STEP_MIN else None
+        self._twiddles = _four_step_twiddles(m) if spec.dim == 1 else None
         self._product = np.empty(self._padded)
         if self._twiddles is None:
             spectrum = self._padded[:-1] + (m // 2 + 1,)
@@ -336,10 +338,10 @@ class ConvolutionPlan:
     def _forward(self, values: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
         """Transform of values zero padded to M per axis, in the plan's order, into spectrum.
 
-        Off the four-step line these are rfftn's 1-D transforms in rfftn's
-        order, so the bits are its bits: rfft along the last axis over the
-        data rows alone, then for each earlier axis, last first, the padded
-        slab zeroed and fft in place over the slabs that hold data.
+        In d >= 2 these are rfftn's 1-D transforms in rfftn's order, so the
+        bits are its bits: rfft along the last axis over the data rows
+        alone, then for each earlier axis, last first, the padded slab
+        zeroed and fft in place over the slabs that hold data.
         """
         if self._twiddles is None:
             n = values.shape[0]

@@ -30,9 +30,9 @@ def write_rows_per_cell(path, header, rows):
 def plan_window_with_rfftn(kernel, values):
     """grids.ConvolutionPlan.window with a fresh array per transform, kept as an oracle.
 
-    The formulation the plan replaced: off the four-step line the forward is
+    The formulation the plan replaced: in d >= 2 the forward is
     rfftn(s=(M,) * d), which allocates its padded intermediates and its
-    spectrum; on it, the four-step transform of a fresh zero-padded copy.
+    spectrum; on a line, the four-step transform of a fresh zero-padded copy.
     The cached kernel spectrum multiplies first, the inverse takes the steps
     of irfftn (or the four-step's, reversed), and the window is scaled by h^d.
     The plan runs the same 1-D transforms in its own buffers, so its windows
@@ -41,7 +41,7 @@ def plan_window_with_rfftn(kernel, values):
     spec = kernel.spec
     n, dim = spec.points_per_axis, spec.dim
     m = 3 * n // 2
-    if dim == 1 and m >= grids.FOUR_STEP_MIN:
+    if dim == 1:
         twiddle, conjugate = grids._four_step_twiddles(m)
         rows = m // twiddle.shape[1]
 
@@ -80,12 +80,11 @@ def charfun_with_chirp_table(w, n, numpy_fft=False):
     read, lags, FFT lengths and products; what it does differently is to
     allocate a fresh array for every intermediate and every FFT, where the
     library evaluates the table into its spectrum buffer and transforms in
-    place.  From an FFT length of grids.FOUR_STEP_MIN up its three FFTs are
-    the four-step transform's steps, each on a fresh array, the spectra in
-    its permuted order; numpy_fft runs one np.fft transform of the full
-    length at every size instead, the formulation that wrote the CLI's
-    clt.csv bytes before the four-step.  Its final product was written
-    product * conj(chirp[:count]); from 256 KiB up (2^15 grid points, the
+    place.  Its three FFTs are the four-step transform's steps, each on a
+    fresh array, the spectra in its permuted order; numpy_fft runs one
+    np.fft transform of the full length instead, the formulation that wrote
+    the CLI's clt.csv bytes before the four-step.  Its final product was
+    written product * conj(chirp[:count]); from 256 KiB up (2^15 grid points, the
     CLI's 2^18 included) numpy elides the conj temporary and multiplies in
     place on it, twist first, and a complex product rounds differently with
     its operands swapped.  That order is written out here for every size.
@@ -107,12 +106,13 @@ def charfun_with_chirp_table(w, n, numpy_fft=False):
     signal = np.zeros(size, dtype=complex)
     signal[:support] = w.values[start:stop] * kernel[support - 1 :: -1].conj()
     fft, ifft = np.fft.fft, np.fft.ifft
-    if size >= grids.FOUR_STEP_MIN and not numpy_fft:
+    if not numpy_fft:
         coarse, fine, coarse_conj, fine_conj = grids._four_step_factors(size)
         rows, cols = size // coarse.shape[1], coarse.shape[1]
 
-        def twisted(x, first, second):  # x times the twiddle at k1 = 16 a + b, coarse first
-            return (x.reshape(-1, 16, cols) * first[:, None] * second).reshape(rows, cols)
+        def twisted(x, first, second):  # x times the twiddle at k1 = B a + b, coarse first
+            blocks = x.reshape(-1, fine.shape[0], cols)  # B = fine.shape[0] = min(rows, 16)
+            return (blocks * first[:, None] * second).reshape(rows, cols)
 
         def fft(x):  # natural order in, k1 + rows * k2 at row k1, column k2 out
             columns = twisted(np.fft.fft(x.reshape(rows, cols), axis=0), coarse, fine)

@@ -167,24 +167,27 @@ class TestRescaledDensity:
 
     @pytest.mark.parametrize("n", [1, 3, 16])
     @pytest.mark.parametrize(
-        "rows",
+        "points, rows",
         [
             # one-sided: x >= 0 only
-            np.r_[32:50],
+            (64, np.r_[32:50]),
             # off center, with zero nodes between two blocks
-            np.r_[5:17, 40:45],
+            (64, np.r_[5:17, 40:45]),
             # a single node, off the origin
-            np.r_[37],
+            (64, np.r_[37]),
             # touching j = -N/2
-            np.r_[0:9],
+            (64, np.r_[0:9]),
+            # FFT length 6: its four-step rows are 6 & -6 = 2, below the 4 of sqrt(6)
+            (8, np.r_[6]),
+            (8, np.r_[1:3]),
         ],
         # ids kept stable for test history: dim-rows-cols, cols now unused
-        ids=[f"1-rows{i}-cols{i}" for i in range(4)],
+        ids=[f"1-rows{i}-cols{i}" for i in range(4)] + ["1-8-one-node", "1-8-two-nodes"],
     )
-    def test_support_slab_matches_direct_sum(self, rows, n):
+    def test_support_slab_matches_direct_sum(self, points, rows, n):
         # the transform covers only the nodes from the first nonzero one to
         # the last; what it leaves out are exact zeros
-        spec = GridSpec(dim=1, extent=8.0, points_per_axis=64)
+        spec = GridSpec(dim=1, extent=8.0, points_per_axis=points)
         mask = np.zeros(spec.shape, dtype=bool)
         mask[rows] = True
         rng = np.random.default_rng(rows.size + 10 * n)

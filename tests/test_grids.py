@@ -180,9 +180,9 @@ def direct_convolution(g1, g2):
 
 
 class TestConvolve:
-    # d = 1 runs one rfft/irfft pair up to N = 2**12 and the four-step transform
-    # from N = 2**13 up, whose rows / cols is 4/3 at odd and 8/3 at even powers
-    # of two: (128, 96) at N = 2**13 and (256, 96) at N = 2**14.
+    # d = 1 runs the four-step transform at every N, its rows x cols (4, 3) at
+    # N = 8, (16, 6) at N = 64, (128, 48) at N = 2**12, (128, 96) at N = 2**13
+    # and (256, 96) at N = 2**14.
     @pytest.mark.parametrize(
         "dim, n", [(1, 64), (2, 16), (3, 8), (1, 8), (2, 8), (1, 2**12), (1, 2**13), (1, 2**14)]
     )
@@ -212,7 +212,7 @@ class TestConvolve:
         for g in (other, gauss, other):
             np.testing.assert_array_equal(plan(g).values, convolve(gauss, g).values)
 
-    # the four-step line, a short line, d = 2 and d = 3
+    # a long line, a short line, d = 2 and d = 3
     @pytest.mark.parametrize("dim, n", [(1, 2**14), (1, 64), (2, 32), (3, 16)])
     def test_plan_window_is_the_convolution(self, dim, n):
         spec = GridSpec(dim=dim, extent=6.0, points_per_axis=n)
@@ -233,9 +233,11 @@ class TestConvolve:
         mass = f.values.sum()
         np.testing.assert_array_equal(plan.window(f.values, mass, mass), convolve(f, f).values)
 
-    # short lines, the four-step line, d = 2 and d = 3
+    # lines from the shortest grid up (N = 8: 4 four-step rows, fewer than
+    # one block of 16), d = 2 and d = 3
     @pytest.mark.parametrize(
-        "dim, n", [(1, 64), (1, 2**12), (1, 2**14), (2, 16), (2, 64), (3, 8), (3, 16)]
+        "dim, n",
+        [(1, 8), (1, 64), (1, 1024), (1, 2**12), (1, 2**14), (2, 16), (2, 64), (3, 8), (3, 16)],
     )
     def test_plan_window_matches_the_rfftn_oracle_bit_for_bit(self, dim, n):
         spec = GridSpec(dim=dim, extent=6.0, points_per_axis=n)
@@ -250,7 +252,7 @@ class TestConvolve:
             window = plan.window(values, values.sum(), np.abs(values).sum())
             assert np.array_equal(window.view(np.uint64), want.view(np.uint64))
 
-    # the four-step line, the longest short line, d = 2 and d = 3; each window
+    # a long line, a shorter one, d = 2 and d = 3; each window
     # is 32 KiB or more, so the bound clears the call's own Python objects
     @pytest.mark.parametrize("dim, n", [(1, 2**14), (1, 2**12), (2, 64), (3, 16)])
     def test_plan_window_allocates_no_array(self, dim, n):
@@ -294,15 +296,17 @@ class TestConvolve:
             product = coarse[k1 // 16] * fine[k1 % 16]
             assert np.array_equal(twiddle[k1].view(np.uint64), product.view(np.uint64))
 
-    # rows x cols: 128 x 96, 256 x 128, and the CLI's CLT lengths 512 x 384 and 1024 x 384
-    @pytest.mark.parametrize("m", [12_288, 2**15, 196_608, 393_216])
+    # rows x cols: 128 x 96, 256 x 128, the CLI's CLT lengths 512 x 384 and 1024 x 384,
+    # and short lengths with fewer than 16 rows: 1 x 3, 2 x 3, 4 x 3, 8 x 6 and 8 x 125,
+    # the rows at 3, 6 and 1000 set by m & -m
+    @pytest.mark.parametrize("m", [12_288, 2**15, 196_608, 393_216, 3, 6, 12, 48, 1000])
     def test_four_step_fft_matches_numpy(self, m):
         rng = np.random.default_rng(m)
         x = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         a = x.copy()
         out = grids.four_step_fft(a)
         assert out is a
-        rows = 1 << math.isqrt(m - 1).bit_length()
+        rows = min(1 << math.isqrt(m - 1).bit_length(), m & -m)
         want = np.fft.fft(x)
         # X[k1 + rows * k2] sits at row k1, column k2
         got = out.reshape(rows, -1).T.ravel()
@@ -310,6 +314,13 @@ class TestConvolve:
         back = grids.four_step_fft(out, inverse=True)
         assert back is a
         assert np.abs(back - x).max() <= 1e-12 * np.abs(x).max()
+
+    def test_four_step_fft_refuses_a_strided_array(self):
+        # its reshape would be a copy: the transform would land there and leave a as it was
+        x = np.arange(24, dtype=complex)
+        with pytest.raises(ValueError, match="contiguous"):
+            grids.four_step_fft(x[::2])
+        np.testing.assert_array_equal(x, np.arange(24))
 
     def test_four_step_factors_cached_small_and_read_only(self):
         grids._four_step_factors.cache_clear()
